@@ -1,13 +1,16 @@
-"""Self-contained dense simplex over exact rationals.
+"""Self-contained sparse simplex over exact rationals.
 
 Solves standard-form programs (minimize c.x subject to A x = b, x >= 0) with
 ``fractions.Fraction`` coefficients, so optima and certificates are exact and
 bit-reproducible.  Floats also work when a positive tolerance is supplied.
 
-Pivoting uses Dantzig's rule and switches permanently to Bland's rule after a
-run of degenerate pivots, which guarantees termination.  Artificial columns
-are kept through phase 2 (barred from re-entering); their final values form
-the basis inverse, from which exact duals are read off.
+The tableau keeps each row as a dict of its non-zeros, so a pivot touches
+only the rows with a non-zero in the pivot column, and in each of them only
+the pivot row's non-zeros.  Pivoting uses Dantzig's rule and switches
+permanently to Bland's rule after a run of degenerate pivots, which
+guarantees termination.  Artificial columns are kept through phase 2 (barred
+from re-entering); their final values form the basis inverse, from which
+exact duals are read off.
 
 The one domain-specific wrapper solves a matrix game: the column player's
 program is the primal (its row count is the row player's strategy count),
@@ -29,75 +32,91 @@ class LpResult:
     x: list
     objective: Number | None
     duals: list
+    pivots: int = 0  # over both phases, artificials driven out included
+
+
+def _subtract(target: dict, factor, row: dict) -> None:
+    """target -= factor * row over the non-zeros of row; exact zeros are dropped."""
+    for j, v in row.items():
+        if j in target:
+            new = target[j] - factor * v
+            if new:
+                target[j] = new
+            else:
+                del target[j]
+        else:
+            target[j] = -factor * v
 
 
 class _Tableau:
+    """Rows as {column: coefficient} dicts of non-zeros, right-hand sides apart.
+
+    Columns 0..n-1 are the program's variables; column n+i is row i's
+    artificial.  ``z`` holds the non-zero reduced costs and ``z_rhs`` minus
+    the objective.
+    """
+
     def __init__(self, c, A, b, tol):
         self.tol = tol
         self.m = len(A)
         self.n = len(c)
         self.flip = [1] * self.m
-        rows = []
+        self.rows = []
+        self.rhs = []
         for i in range(self.m):
-            row = list(A[i])
             rhs = b[i]
             if rhs < 0:
-                row = [-v for v in row]
+                row = {j: -v for j, v in enumerate(A[i]) if v != 0}
                 rhs = -rhs
                 self.flip[i] = -1
-            rows.append(row + [0] * self.m + [rhs])
-        for i in range(self.m):
-            rows[i][self.n + i] = _one(rows[i][self.n + i])
-        self.rows = rows
+            else:
+                row = {j: v for j, v in enumerate(A[i]) if v != 0}
+            row[self.n + i] = _one(rhs)
+            self.rows.append(row)
+            self.rhs.append(rhs)
         self.basis = [self.n + i for i in range(self.m)]
-        self.c = list(c)
-        self.blocked = set()  # columns barred from entering
-
-    def width(self) -> int:
-        return self.n + self.m + 1
+        self.enter_limit = self.n + self.m  # columns at or past it never enter
+        self.pivots = 0
 
     def run(self, cost, *, bland_threshold) -> str:
         """Price out and iterate to optimality for the given cost vector."""
-        width = self.width()
-        z = list(cost) + [0]
-        # price out the basic columns
+        self.z = {j: v for j, v in enumerate(cost) if v != 0}
+        self.z_rhs = 0
         for i, bi in enumerate(self.basis):
             cb = cost[bi]
             if cb != 0:
-                row = self.rows[i]
-                for j in range(width):
-                    if row[j] != 0:
-                        z[j] -= cb * row[j]
+                _subtract(self.z, cb, self.rows[i])
+                self.z_rhs -= cb * self.rhs[i]
         bland = False
         stalled = 0
         while True:
-            col = self._entering(z, bland)
+            col = self._entering(bland)
             if col is None:
-                self.z = z
                 return "optimal"
             row = self._leaving(col)
             if row is None:
                 return "unbounded"
-            before = z[-1]
-            self._pivot(row, col, z)
-            if z[-1] == before:
+            before = self.z_rhs
+            self._pivot(row, col)
+            if self.z_rhs == before:
                 stalled += 1
                 if stalled >= bland_threshold:
                     bland = True
             else:
                 stalled = 0
 
-    def _entering(self, z, bland):
-        tol = self.tol
+    def _entering(self, bland):
+        """Most negative reduced cost, lowest column on ties; lowest column under Bland."""
+        limit = self.enter_limit
         best = None
-        best_val = -tol
-        for j in range(self.n + self.m):
-            if j in self.blocked:
+        best_val = -self.tol
+        for j, v in self.z.items():
+            if j >= limit:
                 continue
-            v = z[j]
-            if v < best_val:
-                if bland:
-                    return j
+            if bland:
+                if v < -self.tol and (best is None or j < best):
+                    best = j
+            elif v < best_val or (best is not None and v == best_val and j < best):
                 best, best_val = j, v
         return best
 
@@ -105,33 +124,34 @@ class _Tableau:
         tol = self.tol
         best = None
         best_ratio = None
-        for i in range(self.m):
-            a = self.rows[i][col]
-            if a > tol:
-                ratio = self.rows[i][-1] / a
+        for i, row in enumerate(self.rows):
+            a = row.get(col)
+            if a is not None and a > tol:
+                ratio = self.rhs[i] / a
                 if best_ratio is None or ratio < best_ratio or (
                     ratio == best_ratio and self.basis[i] < self.basis[best]
                 ):
                     best, best_ratio = i, ratio
         return best
 
-    def _pivot(self, r, c, z):
+    def _pivot(self, r, c):
+        self.pivots += 1
         row = self.rows[r]
         piv = row[c]
         if piv != 1:
             inv = _one(piv) / piv
-            self.rows[r] = row = [v * inv for v in row]
-        for i in range(self.m):
-            if i == r:
-                continue
-            factor = self.rows[i][c]
-            if factor != 0:
-                other = self.rows[i]
-                self.rows[i] = [a - factor * b for a, b in zip(other, row)]
-        factor = z[c]
-        if factor != 0:
-            for j in range(len(z)):
-                z[j] -= factor * row[j]
+            self.rows[r] = row = {j: v * inv for j, v in row.items()}
+            self.rhs[r] *= inv
+        rhs = self.rhs[r]
+        for i, other in enumerate(self.rows):
+            if i != r and c in other:
+                factor = other[c]
+                _subtract(other, factor, row)
+                self.rhs[i] -= factor * rhs
+        factor = self.z.get(c)
+        if factor is not None:
+            _subtract(self.z, factor, row)
+            self.z_rhs -= factor * rhs
         self.basis[r] = c
 
 
@@ -141,7 +161,10 @@ def _one(template) -> Number:
 
 def solve_standard_lp(c: Sequence[Number], A: Sequence[Sequence[Number]],
                       b: Sequence[Number], *, tol: Number = 0) -> LpResult:
-    """Minimize c.x s.t. A x = b, x >= 0.  Exact when inputs are rational."""
+    """Minimize c.x s.t. A x = b, x >= 0.  Exact when inputs are rational.
+
+    ``A`` is a dense list of rows; the tableau keeps only its non-zeros.
+    """
     tab = _Tableau(c, A, b, tol)
     m, n = tab.m, tab.n
     threshold = 2 * (m + n) + 8
@@ -150,55 +173,49 @@ def solve_standard_lp(c: Sequence[Number], A: Sequence[Sequence[Number]],
     status = tab.run(phase1, bland_threshold=threshold)
     if status != "optimal":
         raise RuntimeError("phase 1 cannot be unbounded")  # objective >= 0
-    if -tab.z[-1] > tol:  # z[-1] holds -objective
-        return LpResult("infeasible", [], None, [])
+    if -tab.z_rhs > tol:
+        return LpResult("infeasible", [], None, [], tab.pivots)
 
     # Drive artificials out of the basis; drop redundant rows.
     drop = set()
     for i in range(tab.m):
         if tab.basis[i] >= n:
-            pivot_col = None
-            for j in range(n):
-                if abs(tab.rows[i][j]) > tol:
-                    pivot_col = j
-                    break
+            pivot_col = min((j for j, v in tab.rows[i].items() if j < n and abs(v) > tol),
+                            default=None)
             if pivot_col is None:
                 drop.add(i)
             else:
-                tab._pivot(i, pivot_col, tab.z)
+                tab._pivot(i, pivot_col)
     if drop:
         keep = [i for i in range(tab.m) if i not in drop]
         tab.rows = [tab.rows[i] for i in keep]
+        tab.rhs = [tab.rhs[i] for i in keep]
         tab.basis = [tab.basis[i] for i in keep]
         tab.m = len(keep)
-    tab.blocked = set(range(n, n + m))
+    tab.enter_limit = n
 
     cost = list(c) + [0] * m
     status = tab.run(cost, bland_threshold=threshold)
     if status == "unbounded":
-        return LpResult("unbounded", [], None, [])
+        return LpResult("unbounded", [], None, [], tab.pivots)
 
     x = [0] * n
     for i, bi in enumerate(tab.basis):
         if bi < n:
-            x[bi] = tab.rows[i][-1]
+            x[bi] = tab.rhs[i]
     objective = sum(ci * xi for ci, xi in zip(c, x))
 
     # Duals: y = c_B B^{-1}; B^{-1} sits in the artificial columns.
-    duals = [0] * m
-    zero = 0 if tol == 0 else 0.0
-    raw = {old: zero for old in range(m)}
-    for i in range(tab.m):
+    raw = [0 if tol == 0 else 0.0] * m
+    for i, row in enumerate(tab.rows):
         cb = cost[tab.basis[i]]
         if cb == 0:
             continue
-        for old in range(m):
-            v = tab.rows[i][n + old]
-            if v != 0:
-                raw[old] += cb * v
-    for old in range(m):
-        duals[old] = raw[old] * tab.flip[old]
-    return LpResult("optimal", x, objective, duals)
+        for j, v in row.items():
+            if j >= n:
+                raw[j - n] += cb * v
+    duals = [raw[i] * tab.flip[i] for i in range(m)]
+    return LpResult("optimal", x, objective, duals, tab.pivots)
 
 
 @dataclass

@@ -6,9 +6,11 @@ Four routes to the value, used to certify each other:
   action per atom), solve the 0/1 payoff matrix game exactly by LP over
   mixed strategies, and convert the optimal mixtures back to behavioral
   strategies via realization equivalence.
-* ``sequence_form_value``: realization-plan LPs on each player's
-  information-set forest; scales past the normal form and yields behavioral
-  strategies directly.  Sound only under perfect recall, which is checked.
+* ``sequence_form_value``: one realization-plan LP over the players'
+  information-set forests; player 2's plan is its primal solution and
+  player 1's its exact duals.  Scales past the normal form and yields
+  behavioral strategies directly.  Sound only under perfect recall, which
+  is checked.
 * ``best_response``: exact dynamic program over the responder's forest with
   the opponent's strategy folded into terminal weights; certifies reported
   values through zero best-response gaps.
@@ -360,26 +362,33 @@ def best_response(game: TruncatedGame,
 
 def realization_to_behavioral(plan: Sequence[Number], forest: InfosetForest,
                               monitoring: MonitoringStructure) -> BehavioralStrategy:
-    """Behavioral strategy from a realization plan (uniform off the support)."""
+    """Behavioral strategy from a realization plan (uniform off the support).
+
+    Each information set's row is normalized by the sum of its own action
+    entries.  For a plan that sum equals the parent entry; a sub-plan (each
+    sum at most the parent entry, as the duals of the sequence-form LP give)
+    becomes a plan that dominates it entry by entry, so against nonnegative
+    payoffs it does at least as well.
+    """
     k = monitoring.num_actions
     tables = {}
     for n in forest.stages:
         rows = []
         for p in range(monitoring.partitions[n].num_atoms):
             iid = forest.infoset_id(n, p)
-            denom = plan[forest.parent_seq[iid]]
+            weights = [Fraction(plan[forest.seq_id(iid, a)]) for a in range(k)]
+            denom = sum(weights)
             if denom == 0:
                 rows.append(tuple(Fraction(1, k) for _ in range(k)))
             else:
-                rows.append(tuple(Fraction(plan[forest.seq_id(iid, a)]) / Fraction(denom)
-                                  for a in range(k)))
+                rows.append(tuple(w / denom for w in weights))
         tables[n] = tuple(rows)
     return BehavioralStrategy.from_rows(forest.owner, monitoring, tables)
 
 
 @dataclass(frozen=True)
 class SequenceFormProgram:
-    """Realization-plan LPs of a truncated game.
+    """Realization-plan LP of a truncated game.
 
     ``payoff_counts[(s1, s2)]`` counts winning terminal histories whose last
     player sequences are (s1, s2); the bilinear payoff is
@@ -408,47 +417,48 @@ class SequenceFormProgram:
             counts[key] = counts.get(key, 0) + 1
         return cls(game, forest1, forest2, counts)
 
-    def _solve_side(self, opt_forest: InfosetForest, other_forest: InfosetForest,
-                    transpose: bool):
-        """LP bounding the optimizer's payoff over the other player's plan.
+    def solve(self) -> ValueReport:
+        """One LP: player 2's plan is its primal solution, player 1's its duals.
 
-        Variables: the other player's realization plan, one payoff bound per
-        optimizer infoset plus the root bound, then slacks.  For the
-        maximizing optimizer (player 1) the bounds dominate from above and
-        the root bound is minimized; for the mirrored side every inequality
-        and the objective flip sign.  Payoffs lie in [0, 1], so the bounds
-        are nonnegative and fit standard form without variable splitting.
+        Variables: player 2's realization plan, one payoff bound per player-1
+        infoset plus the root bound, then one slack per player-1 sequence.
+        The core row of a player-1 sequence says that its infoset's bound
+        dominates the sequence's payoff term plus the bounds of the infosets
+        it leads to; the root bound is minimized.  Payoffs lie in [0, 1], so
+        the bounds are nonnegative and fit standard form without variable
+        splitting.  The duals of the core rows form a player-1 realization
+        plan, possibly a sub-plan (Koller, Megiddo & von Stengel 1996), that
+        guarantees the value against every player-2 plan.
         """
+        forest1, forest2 = self.forest1, self.forest2
         k = self.game.num_actions
-        n_plan = other_forest.num_seqs
-        n_bound = opt_forest.num_infosets + 1  # root bound first
-        width = n_plan + n_bound + opt_forest.num_seqs
+        n_plan = forest2.num_seqs
+        n_bound = forest1.num_infosets + 1  # root bound first
+        width = n_plan + n_bound + forest1.num_seqs
 
-        by_opt_seq: dict[int, list[tuple[int, int]]] = {}
+        by_seq1: dict[int, list[tuple[int, int]]] = {}
         for (s1, s2), cnt in self.payoff_counts.items():
-            so, sp = (s1, s2) if not transpose else (s2, s1)
-            by_opt_seq.setdefault(so, []).append((sp, cnt))
+            by_seq1.setdefault(s1, []).append((s2, cnt))
 
         children: dict[int, list[int]] = {}
-        for iid in range(opt_forest.num_infosets):
-            children.setdefault(opt_forest.parent_seq[iid], []).append(iid)
+        for iid in range(forest1.num_infosets):
+            children.setdefault(forest1.parent_seq[iid], []).append(iid)
 
-        sense = Fraction(1) if not transpose else Fraction(-1)
         A = []
         b = []
-        # Core row per optimizer sequence: bound(head) - sum child bounds
-        # - payoff-term; scaled by the sense, minus a slack, equal to zero.
-        for seq in range(opt_forest.num_seqs):
+        # Core row per player-1 sequence: bound(head) - sum child bounds
+        # - payoff term - slack = 0.
+        for seq in range(forest1.num_seqs):
             row = [Fraction(0)] * width
             if seq == 0:
-                row[n_plan] = sense
+                row[n_plan] = Fraction(1)
             else:
-                iid, _ = opt_forest.seq_parts(seq)
-                row[n_plan + 1 + iid] = sense
+                iid, _ = forest1.seq_parts(seq)
+                row[n_plan + 1 + iid] = Fraction(1)
             for child in children.get(seq, ()):
-                row[n_plan + 1 + child] -= sense
-            for sp, cnt in by_opt_seq.get(seq, ()):
-                row[sp] -= sense * cnt
+                row[n_plan + 1 + child] -= 1
+            for s2, cnt in by_seq1.get(seq, ()):
+                row[s2] -= cnt
             row[n_plan + n_bound + seq] = Fraction(-1)
             A.append(row)
             b.append(Fraction(0))
@@ -457,37 +467,34 @@ class SequenceFormProgram:
         row[0] = Fraction(1)
         A.append(row)
         b.append(Fraction(1))
-        for iid in range(other_forest.num_infosets):
+        for iid in range(forest2.num_infosets):
             row = [Fraction(0)] * width
             for a in range(k):
-                row[other_forest.seq_id(iid, a)] = Fraction(1)
-            row[other_forest.parent_seq[iid]] -= Fraction(1)
+                row[forest2.seq_id(iid, a)] = Fraction(1)
+            row[forest2.parent_seq[iid]] -= Fraction(1)
             A.append(row)
             b.append(Fraction(0))
 
         c = [Fraction(0)] * width
-        c[n_plan] = sense
+        c[n_plan] = Fraction(1)
         res = solve_standard_lp(c, A, b)
         if res.status != "optimal":
             raise RuntimeError(f"sequence-form LP ended {res.status}")
-        plan = res.x[:n_plan]
-        return sense * res.objective, plan
-
-    def solve(self) -> ValueReport:
-        value, plan2 = self._solve_side(self.forest1, self.forest2, transpose=False)
-        value_mirror, plan1 = self._solve_side(self.forest2, self.forest1, transpose=True)
-        if value != value_mirror:
-            raise AssertionError(
-                f"sequence-form sides disagree: {value} vs {value_mirror}"
-            )
-        x = realization_to_behavioral(plan1, self.forest1, self.game.monitoring)
-        y = realization_to_behavioral(plan2, self.forest2, self.game.monitoring)
-        return _with_certificate(self.game, value, x, y, "sequence-form-lp",
-                                 seqs=(self.forest1.num_seqs, self.forest2.num_seqs))
+        monitoring = self.game.monitoring
+        x = realization_to_behavioral(res.duals[:forest1.num_seqs], forest1, monitoring)
+        y = realization_to_behavioral(res.x[:n_plan], forest2, monitoring)
+        return _with_certificate(self.game, res.objective, x, y, "sequence-form-lp",
+                                 seqs=(forest1.num_seqs, forest2.num_seqs),
+                                 lp_pivots=res.pivots)
 
 
 def sequence_form_value(game: TruncatedGame) -> ValueReport:
-    """Exact game value via realization-plan LPs (both orientations)."""
+    """Exact game value from one realization-plan LP.
+
+    Player 2's optimal plan is the LP's primal solution and player 1's comes
+    from its exact duals; the report is certified by two exact best
+    responses.
+    """
     return SequenceFormProgram.build(game).solve()
 
 

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epmgames.lp import solve_matrix_game, solve_standard_lp
 
@@ -11,6 +13,60 @@ def test_basic_lp_with_duals():
     assert res.x == [F(8, 5), F(6, 5)]
     assert res.objective == F(14, 5)
     assert res.duals == [F(2, 5), F(1, 5)]
+
+
+small = st.integers(-3, 3).map(F) | st.sampled_from([F(1, 2), F(-2, 3)])
+
+
+@st.composite
+def bounded_feasible_lps(draw):
+    """min c.x s.t. A x = b, x >= 0, feasible by construction and bounded below.
+
+    b = A x0 for a nonnegative x0, so the program is feasible; c = A^T w + s
+    with s >= 0, so w is dual feasible and the optimum is finite.  Rows may
+    repeat as multiples of others (redundant), and b may be negative.
+    """
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    A = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        src = A[draw(st.integers(0, len(A) - 1))]
+        scale = draw(st.sampled_from([F(-1), F(2), F(1, 3)]))
+        A.append([scale * v for v in src])
+    x0 = draw(st.lists(st.integers(0, 3).map(F), min_size=n, max_size=n))
+    b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    w = draw(st.lists(small, min_size=len(A), max_size=len(A)))
+    s = draw(st.lists(st.integers(0, 3).map(F), min_size=n, max_size=n))
+    c = [sum(w[i] * A[i][j] for i in range(len(A))) + s[j] for j in range(n)]
+    return c, A, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_feasible_lps())
+def test_exact_dual_certificate(lp):
+    c, A, b = lp
+    res = solve_standard_lp(c, A, b)
+    assert res.status == "optimal"
+    x, y = res.x, res.duals
+    assert all(v >= 0 for v in x)
+    assert [sum(a * v for a, v in zip(row, x)) for row in A] == b
+    reduced = [c[j] - sum(A[i][j] * y[i] for i in range(len(A))) for j in range(len(c))]
+    assert all(r >= 0 for r in reduced)
+    assert sum(bi * yi for bi, yi in zip(b, y)) == sum(ci * xi for ci, xi in zip(c, x))
+    assert res.objective == sum(ci * xi for ci, xi in zip(c, x))
+
+
+def test_pivot_counts():
+    # pivots over both phases, driving artificials out included
+    assert solve_standard_lp([1, 1], [[1, 2], [3, 1]], [4, 6]).pivots == 2
+    assert solve_standard_lp([1, 1], [[1, 1], [2, 2]], [1, 2]).pivots == 1
+    c = [F(-3, 4), 150, F(-1, 50), 6, 0, 0, 0]
+    A = [
+        [F(1, 4), -60, F(-1, 25), 9, 1, 0, 0],
+        [F(1, 2), -90, F(-1, 50), 3, 0, 1, 0],
+        [0, 0, 1, 0, 0, 0, 1],
+    ]
+    assert solve_standard_lp(c, A, [0, 0, 1]).pivots == 5
 
 
 def test_infeasible():

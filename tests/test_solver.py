@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from epmgames import (
     ActionSet,
@@ -15,7 +17,13 @@ from epmgames import (
     payoff,
     sequence_form_value,
 )
-from epmgames.solver import SequenceFormProgram, build_forest, mixed_to_behavioral
+from epmgames import solver
+from epmgames.solver import (
+    SequenceFormProgram,
+    build_forest,
+    mixed_to_behavioral,
+    realization_to_behavioral,
+)
 from epmgames.strategy import BehavioralStrategy
 from tests.conftest import matching_game, random_game
 
@@ -79,6 +87,68 @@ def test_sequence_form_matches_brute_force_suite():
         assert rb.value == rs.value
         assert rb.certified, (trial, rb.gap1, rb.gap2)
         assert rs.certified, (trial, rs.gap1, rs.gap2)
+
+
+@st.composite
+def small_games(draw):
+    """Builder structure with k in {2, 3}, H <= 4, and a random winning mask."""
+    k = draw(st.sampled_from([2, 3]))
+    horizon = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["perfect", "blackwell", "delayed", "block", "none"]))
+    kwargs = {}
+    if kind == "delayed":
+        kwargs = {"d1": draw(st.integers(0, 2)), "d2": draw(st.integers(0, 2))}
+    elif kind == "block":
+        sizes = []
+        while sum(sizes) < horizon:
+            sizes.append(draw(st.integers(1, 3)))
+        kwargs = {"sizes": sizes}
+    m = build_monitoring(kind, ActionSet(("r", "p", "s")[:k]), horizon, **kwargs)
+    mask = draw(st.lists(st.booleans(), min_size=k**horizon, max_size=k**horizon))
+    return TruncatedGame(m, np.array(mask, dtype=bool))
+
+
+def _normal_form_entries(game) -> int:
+    k = game.num_actions
+    slots = [game.monitoring.partitions[n].num_atoms for n in range(game.horizon)]
+    return k ** sum(slots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_games())
+def test_one_lp_sequence_form_matches_brute_force(game):
+    assume(_normal_form_entries(game) <= 2 * 10**5)
+    rs = sequence_form_value(game)
+    assert rs.certified, (rs.gap1, rs.gap2)
+    assert rs.value == brute_force_value(game).value
+
+
+def test_sequence_form_solves_one_lp(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_standard_lp(*args, **kwargs)
+
+    solve_standard_lp = solver.solve_standard_lp
+    monkeypatch.setattr(solver, "solve_standard_lp", counting)
+    rep = sequence_form_value(matching_game("delayed", horizon=4, d1=1, d2=1))
+    assert len(calls) == 1
+    assert rep.certified
+    assert rep.extras["lp_pivots"] > 0
+
+
+def test_realization_to_behavioral_normalizes_sub_plans():
+    # a sub-plan (row sums below the parent entry, as LP duals may give) is
+    # normalized by each row's own sum; a row with no mass turns uniform
+    g = matching_game("blackwell", horizon=3)
+    forest = build_forest(g.monitoring, 1)
+    plan = [F(1)] + [F(0)] * (forest.num_seqs - 1)
+    plan[forest.seq_id(forest.infoset_id(0, 0), 0)] = F(1, 4)
+    plan[forest.seq_id(forest.infoset_id(0, 0), 1)] = F(1, 2)
+    x = realization_to_behavioral(plan, forest, g.monitoring)
+    assert x.tables[0][0] == (F(1, 3), F(2, 3))
+    assert all(row == (F(1, 2), F(1, 2)) for row in x.tables[2])
 
 
 def test_three_action_game():
