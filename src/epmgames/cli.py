@@ -9,7 +9,8 @@ couple   Monte Carlo coupling experiment against the exact bound
 example  run a named Stay/Leave fixture battery
 
 Exit codes: 0 success (all assertions passed), 1 assertion failure,
-2 configuration error, 3 size cap exceeded, 4 internal invariant violation.
+2 configuration error, 3 size cap exceeded, 4 internal invariant violation
+(an assertion, or an LP that ends other than optimal).
 
 Machine-readable reports are deterministic: same config and seed give
 byte-identical JSON (timing appears only in the human-readable table
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
         # e.g. custom partitions without perfect recall
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except AssertionError as e:
+    except (AssertionError, RuntimeError) as e:
         print(f"internal invariant violated: {e}", file=sys.stderr)
         return 4
     elapsed = time.perf_counter() - started

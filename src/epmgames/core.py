@@ -11,12 +11,15 @@ and computes the stage at which an opponent first observes a given action.
 
 Histories of length n are enumerated lexicographically by action index:
 history (a_0, ..., a_{n-1}) has index sum(a_i * |A|**(n-1-i)).  All masks,
-atom tables, and ids use this order.
+atom tables, and ids use this order.  A stage partition is one array,
+``atom_index``, from history index to atom id; the checks are group-bys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,15 +50,9 @@ def index_to_actions(idx: int, stage: int, num_actions: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def digit_matrix(stage: int, num_actions: int) -> np.ndarray:
-    """(|A|**stage, stage) array: row i holds the actions of history i."""
-    count = num_actions**stage
-    cols = []
-    for j in range(stage):
-        cols.append((np.arange(count) // num_actions ** (stage - 1 - j)) % num_actions)
-    if not cols:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.stack(cols, axis=1).astype(np.int64)
+def digit_column(stage: int, num_actions: int, coord: int) -> np.ndarray:
+    """Action at position ``coord`` of every length-``stage`` history, by index."""
+    return (np.arange(num_actions**stage) // num_actions ** (stage - 1 - coord)) % num_actions
 
 
 def mover(stage: int) -> int:
@@ -113,85 +110,112 @@ class FiniteHistory:
         return "".join(action_set.labels[a] for a in self.actions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StagePartition:
     """Partition of the length-``stage`` histories into observation atoms.
 
-    ``atom_index[i]`` is the atom id of history index i; ``atoms[j]`` lists
-    the (sorted) history indices of atom j.
+    The partition is one read-only int64 array: ``atom_index[i]`` is the
+    atom id of history index i, and the ids are 0..num_atoms-1, each used.
+    The rest is derived from it: ``first_members[j]`` is the lowest history
+    index in atom j and ``atoms[j]`` lists atom j's history indices in
+    increasing order.  A per-history value is constant on atoms iff it
+    equals its value at each atom's first member (:meth:`split_witness`).
     """
 
     stage: int
     num_actions: int
-    atoms: tuple[tuple[int, ...], ...]
-    atom_index: np.ndarray = field(repr=False, compare=False)
+    atom_index: np.ndarray = field(repr=False)
+    num_atoms: int = field(init=False)
 
     def __post_init__(self):
         count = self.num_actions**self.stage
-        if len(self.atom_index) != count:
+        index = np.asarray(self.atom_index)
+        if index.shape != (count,):
             raise ValueError("atom_index length mismatch")
-        seen = np.zeros(count, dtype=bool)
-        for j, atom in enumerate(self.atoms):
-            if not atom:
-                raise ValueError(f"stage {self.stage}: empty atom {j}")
-            for idx in atom:
-                if not (0 <= idx < count):
-                    raise ValueError(f"stage {self.stage}: history index {idx} out of range")
-                if seen[idx]:
-                    raise ValueError(f"stage {self.stage}: history {idx} in two atoms")
-                seen[idx] = True
-                if self.atom_index[idx] != j:
-                    raise ValueError("atom_index inconsistent with atoms")
-        if not seen.all():
-            raise ValueError(f"stage {self.stage}: atoms do not cover all histories")
+        if index.dtype.kind not in "iu":
+            raise ValueError(f"stage {self.stage}: atom ids must be integers")
+        index = np.array(index, dtype=np.int64)
+        if index.min() < 0:
+            raise ValueError(f"stage {self.stage}: negative atom id")
+        used = np.bincount(index) > 0
+        if not used.all():
+            raise ValueError(f"stage {self.stage}: empty atom {int(np.argmin(used))}")
+        index.flags.writeable = False
+        object.__setattr__(self, "atom_index", index)
+        object.__setattr__(self, "num_atoms", len(used))
 
-    @property
-    def num_atoms(self) -> int:
-        return len(self.atoms)
+    @cached_property
+    def first_members(self) -> np.ndarray:
+        """Lowest history index of each atom, by atom id."""
+        return np.unique(self.atom_index, return_index=True)[1]
 
-    @classmethod
-    def from_atom_ids(cls, stage: int, num_actions: int, ids: np.ndarray) -> StagePartition:
-        """Build from an id per history, relabelling ids by first occurrence."""
-        order = {}
-        relabel = np.empty(len(ids), dtype=np.int64)
-        for i, raw in enumerate(ids):
-            raw = int(raw)
-            if raw not in order:
-                order[raw] = len(order)
-            relabel[i] = order[raw]
-        atoms = [[] for _ in range(len(order))]
-        for i, j in enumerate(relabel):
-            atoms[j].append(i)
-        return cls(stage, num_actions, tuple(tuple(a) for a in atoms), relabel)
+    @cached_property
+    def atoms(self) -> tuple[tuple[int, ...], ...]:
+        """History indices of each atom in increasing order, by atom id."""
+        members = np.argsort(self.atom_index, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.atom_index)).tolist()
+        return tuple(tuple(members[lo:hi]) for lo, hi in zip([0] + ends, ends))
+
+    def split_witness(self, values: np.ndarray) -> tuple[int, int] | None:
+        """First pair of histories in one atom on which ``values`` differ.
+
+        ``values[h]`` is a value of history h.  Returns None when it is
+        constant on every atom; otherwise the first member of the lowest atom
+        on which it is not, and that atom's first member with another value.
+        """
+        split = np.flatnonzero(values != values[self.first_members[self.atom_index]])
+        if not split.size:
+            return None
+        ids = self.atom_index[split]
+        j = ids.min()
+        return int(self.first_members[j]), int(split[np.argmax(ids == j)])
 
     @classmethod
     def from_visible_coords(cls, stage: int, num_actions: int, coords: Sequence[int]) -> StagePartition:
-        """Histories are equivalent iff they agree on the visible coordinates."""
-        digits = digit_matrix(stage, num_actions)
-        ids = np.zeros(num_actions**stage, dtype=np.int64)
+        """Histories are equivalent iff they agree on the visible coordinates.
+
+        Atom ids follow the first occurrence of each atom in history order.
+        """
+        code = np.zeros(num_actions**stage, dtype=np.int64)
         for c in sorted(coords):
-            ids = ids * num_actions + digits[:, c]
-        return cls.from_atom_ids(stage, num_actions, ids)
+            code = code * num_actions + digit_column(stage, num_actions, c)
+        _, first, labels = np.unique(code, return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        return cls(stage, num_actions, rank[labels])
 
     @classmethod
     def from_atoms(cls, stage: int, num_actions: int, atoms: Sequence[Sequence[int]]) -> StagePartition:
-        """Build from explicit atom membership lists; validates the partition."""
-        count = num_actions**stage
-        atom_index = np.full(count, -1, dtype=np.int64)
-        for j, atom in enumerate(atoms):
-            for idx in atom:
-                if not (0 <= idx < count):
-                    raise ValueError(f"stage {stage}: history index {idx} out of range")
-                if atom_index[idx] != -1:
-                    raise ValueError(f"stage {stage}: overlapping atoms at history {idx}")
-                atom_index[idx] = j
-        if (atom_index == -1).any():
-            missing = int(np.flatnonzero(atom_index == -1)[0])
-            raise ValueError(f"stage {stage}: history {missing} not covered by any atom")
-        return cls(stage, num_actions, tuple(tuple(sorted(a)) for a in atoms), atom_index)
+        """Build from explicit atom membership lists; atom j gets id j.
 
-    def atom_members(self, atom_id: int) -> tuple[int, ...]:
-        return self.atoms[atom_id]
+        Entries must be ``int`` history indices (``bool`` is refused), and
+        the lists must cover every history exactly once.
+        """
+        count = num_actions**stage
+        flat = list(chain.from_iterable(atoms))
+        if not set(map(type, flat)) <= {int}:
+            raise ValueError(f"stage {stage}: atom entries must be integer history indices")
+        try:
+            members = np.array(flat, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"stage {stage}: history index out of range") from None
+        repeated = np.ones(len(members), dtype=bool)
+        repeated[np.unique(members, return_index=True)[1]] = False
+        bad = np.flatnonzero(repeated | (members < 0) | (members >= count))
+        if bad.size:
+            h = int(members[bad[0]])
+            if 0 <= h < count:
+                raise ValueError(f"stage {stage}: overlapping atoms at history {h}")
+            raise ValueError(f"stage {stage}: history index {h} out of range")
+        if len(members) < count:
+            missing = int(np.argmin(np.bincount(members, minlength=count)))
+            raise ValueError(f"stage {stage}: history {missing} not covered by any atom")
+        sizes = list(map(len, atoms))
+        if 0 in sizes:
+            raise ValueError(f"stage {stage}: empty atom {sizes.index(0)}")
+        atom_index = np.empty(count, dtype=np.int64)
+        atom_index[members] = np.repeat(np.arange(len(sizes)), sizes)
+        return cls(stage, num_actions, atom_index)
 
 
 def _coordinate_rule(kind: str, params: dict):
@@ -380,44 +404,21 @@ def check_perfect_recall(m: MonitoringStructure) -> PerfectRecallReport:
     """
     _check_size_guard(m)
     k = m.num_actions
+
+    def fail(n: int, pair: tuple[int, int], condition: int) -> PerfectRecallReport:
+        u, v = (FiniteHistory(index_to_actions(h, n, k)) for h in pair)
+        return PerfectRecallReport(False, (n, u, v), condition=condition)
+
     for n in range(2, m.horizon):
-        part = m.partitions[n]
-        digits = digit_matrix(n, k)
-        for atom in part.atoms:
-            own = digits[list(atom), n - 2]
-            if (own != own[0]).any():
-                other = atom[int(np.flatnonzero(own != own[0])[0])]
-                return PerfectRecallReport(
-                    False,
-                    (n, FiniteHistory(index_to_actions(atom[0], n, k)),
-                     FiniteHistory(index_to_actions(other, n, k))),
-                    condition=1,
-                )
+        pair = m.partitions[n].split_witness(digit_column(n, k, n - 2))
+        if pair is not None:
+            return fail(n, pair, 1)
     for n in range(m.horizon - 2):
-        part_hi = m.partitions[n + 2]
-        part_lo = m.partitions[n]
-        for atom in part_hi.atoms:
-            idxs = np.asarray(atom)
-            lo = part_lo.atom_index[idxs // (k * k)]
-            if (lo != lo[0]).any():
-                other = atom[int(np.flatnonzero(lo != lo[0])[0])]
-                return PerfectRecallReport(
-                    False,
-                    (n + 2, FiniteHistory(index_to_actions(atom[0], n + 2, k)),
-                     FiniteHistory(index_to_actions(other, n + 2, k))),
-                    condition=2,
-                )
+        parents = m.partitions[n].atom_index[np.arange(k ** (n + 2)) // (k * k)]
+        pair = m.partitions[n + 2].split_witness(parents)
+        if pair is not None:
+            return fail(n + 2, pair, 2)
     return PerfectRecallReport(True)
-
-
-def _separates(partition: StagePartition, coord: int) -> bool:
-    """Does every atom of the partition pin down the action at ``coord``?"""
-    digits = digit_matrix(partition.stage, partition.num_actions)
-    for atom in partition.atoms:
-        vals = digits[list(atom), coord]
-        if (vals != vals[0]).any():
-            return False
-    return True
 
 
 def observation_stage(m: MonitoringStructure, m0: int) -> int | None:
@@ -432,10 +433,8 @@ def observation_stage(m: MonitoringStructure, m0: int) -> int | None:
     if m0 >= m.horizon:
         raise ValueError(f"stage {m0} is not a move stage (horizon {m.horizon})")
     cap = m.horizon if m.terminal_partition is not None else m.horizon - 1
-    for n in range(m0 + 1, cap + 1):
-        if n % 2 == m0 % 2:
-            continue
-        if _separates(m.partition_at(n), m0):
+    for n in range(m0 + 1, cap + 1, 2):
+        if m.partition_at(n).split_witness(digit_column(n, m.num_actions, m0)) is None:
             return n
     return None
 
@@ -446,18 +445,12 @@ class ObservationTree:
     both a given stage-m action value and its complement.
 
     The tree is prefix-closed (a perfect-recall consequence); the target
-    action is observed two stages past the deepest level, so the minimal
-    observing stage is ``max_depth + 2``.
+    action is observed two stages past the deepest level.
     """
 
     target_stage: int
     target_action: int
     levels: dict[int, tuple[int, ...]]
-
-    @property
-    def max_depth(self) -> int | None:
-        populated = [n for n, nodes in self.levels.items() if nodes]
-        return max(populated) if populated else None
 
     def first_empty_level(self) -> int | None:
         for n in sorted(self.levels):
@@ -480,10 +473,10 @@ def build_observation_tree(m: MonitoringStructure, m0: int, action: int) -> Obse
             levels[n] = tuple(range(k**n))
             continue
         part = m.partition_at(n)
-        digits = digit_matrix(n, k)
+        digits = digit_column(n, k, m0)
         nodes = []
         for atom in part.atoms:
-            vals = digits[list(atom), m0]
+            vals = digits[list(atom)]
             if (vals == action).any() and (vals != action).any():
                 nodes.extend(atom)
         levels[n] = tuple(sorted(nodes))

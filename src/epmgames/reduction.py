@@ -32,11 +32,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Protocol, Sequence
 
+import numpy as np
+
 from .core import (
     FiniteHistory,
     MonitoringStructure,
     TruncatedGame,
     check_perfect_recall,
+    digit_column,
     observation_stage,
 )
 from .errors import ConditioningError, SizeCapError
@@ -124,17 +127,15 @@ def _build_projection(monitoring: MonitoringStructure, schedule: StateSchedule) 
     for n in range(monitoring.horizon):
         part = monitoring.partitions[n]
         for j in range(n + 1):
-            coords = schedule.groups.get(j, ())
-            codes = []
-            for atom in part.atoms:
-                vals = {_coord_code(h, n, k, coords) for h in atom}
-                if len(vals) != 1:
-                    raise ValueError(
-                        f"state projection ill-defined at stage {n} for revelation "
-                        f"stage {j}; the partitions violate perfect recall"
-                    )
-                codes.append(vals.pop())
-            tables[(n, j)] = tuple(codes)
+            codes = np.zeros(k**n, dtype=np.int64)
+            for c in schedule.groups.get(j, ()):
+                codes = codes * k + digit_column(n, k, c)
+            if part.split_witness(codes) is not None:
+                raise ValueError(
+                    f"state projection ill-defined at stage {n} for revelation "
+                    f"stage {j}; the partitions violate perfect recall"
+                )
+            tables[(n, j)] = tuple(codes[part.first_members].tolist())
     return StateProjection(tables)
 
 
@@ -215,10 +216,6 @@ class AuxGame:
     @property
     def num_actions(self) -> int:
         return self.game.num_actions
-
-    def state_of(self, stage: int, prefix_idx: int, prefix_len: int) -> int:
-        return _coord_code(prefix_idx, prefix_len, self.num_actions,
-                           self.schedule.groups.get(stage, ()))
 
     def reconstruct(self, states: Mapping[int, int], terminal_code: int) -> FiniteHistory:
         """Invert the per-stage projections back into the full history."""

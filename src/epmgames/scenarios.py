@@ -137,7 +137,7 @@ def exact_payoff_with_tails(x: BehavioralStrategy, y: BehavioralStrategy,
 
 
 def _member_actions(part: StagePartition, atom_id: int) -> tuple[int, ...]:
-    return index_to_actions(part.atoms[atom_id][0], part.stage, 2)
+    return index_to_actions(int(part.first_members[atom_id]), part.stage, 2)
 
 
 def _certain_opponent_leave(part: StagePartition, atom_id: int) -> bool:

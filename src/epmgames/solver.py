@@ -31,7 +31,7 @@ from .core import (
     MonitoringStructure,
     TruncatedGame,
     check_perfect_recall,
-    digit_matrix,
+    digit_column,
 )
 from .errors import SizeCapError
 from .lp import solve_matrix_game, solve_standard_lp
@@ -86,24 +86,19 @@ def build_forest(monitoring: MonitoringStructure, owner: int) -> InfosetForest:
     for n in stages:
         offset[n] = total
         total += monitoring.partitions[n].num_atoms
-    parent_seq = [0] * total
+    parent_seq = np.zeros(total, dtype=np.int64)
     for n in stages:
         if n < 2:
             continue
         part = monitoring.partitions[n]
-        prev = monitoring.partitions[n - 2]
-        digits = digit_matrix(n, k)
-        for atom_id, atom in enumerate(part.atoms):
-            idxs = np.asarray(atom)
-            own = digits[idxs, n - 2]
-            parents = prev.atom_index[idxs // (k * k)]
-            if (own != own[0]).any() or (parents != parents[0]).any():
-                raise ValueError(
-                    f"player {owner} partitions violate perfect recall at stage {n}"
-                )
-            pid = offset[n - 2] + int(parents[0])
-            parent_seq[offset[n] + atom_id] = 1 + pid * k + int(own[0])
-    return InfosetForest(owner, k, stages, offset, total, tuple(parent_seq))
+        # Under perfect recall the own (parent atom, stage n-2 action) sequence
+        # is constant on each stage-n atom.
+        parents = monitoring.partitions[n - 2].atom_index[np.arange(k**n) // (k * k)]
+        seq = 1 + (offset[n - 2] + parents) * k + digit_column(n, k, n - 2)
+        if part.split_witness(seq) is not None:
+            raise ValueError(f"player {owner} partitions violate perfect recall at stage {n}")
+        parent_seq[offset[n]:offset[n] + part.num_atoms] = seq[part.first_members]
+    return InfosetForest(owner, k, stages, offset, total, tuple(parent_seq.tolist()))
 
 
 def _terminal_seq_array(game: TruncatedGame, forest: InfosetForest) -> np.ndarray:

@@ -349,8 +349,11 @@ def _stacked_rows(game: TruncatedGame) -> tuple[np.ndarray, list[int]]:
 
 
 def _stacked_dists(game: TruncatedGame, x: BehavioralStrategy, y: BehavioralStrategy) -> np.ndarray:
-    """(k, stacked atoms) floats: column r is the profile's distribution at row r."""
-    rows = [[float(p) for p in dist]
+    """(k, stacked atoms) floats: column r is the profile's distribution at row r.
+
+    numerator / denominator is the correctly rounded float() of a rational.
+    """
+    rows = [[p if isinstance(p, float) else p.numerator / p.denominator for p in dist]
             for n in range(game.horizon) for dist in _profile_strategy(x, y, n).tables[n]]
     return np.array(rows, dtype=np.float64).T.copy()
 

@@ -1,7 +1,9 @@
 import json
 from fractions import Fraction as F
 
+from epmgames import solver
 from epmgames.cli import main, parse_rational, rat_str
+from epmgames.lp import LpResult
 
 
 def write_config(tmp_path, name, payload):
@@ -155,6 +157,29 @@ def test_unsolvable_model_exits_2_but_check_reports(tmp_path, capsys):
     report = json.loads(out)
     assert report["results"]["perfect_recall"]["ok"] is False
     assert report["results"]["perfect_recall"]["witness"]["stage"] == 2
+
+
+def test_non_integer_custom_atom_exits_2(tmp_path, capsys):
+    for bad in (1.5, True):
+        cfg = {
+            "actions": ["a", "b"],
+            "horizon": 2,
+            "monitoring": {"kind": "custom", "atoms": [[[0]], [[0], [bad]]]},
+            "winning_set": {"kind": "none"},
+        }
+        path = write_config(tmp_path, "frac.json", cfg)
+        assert main(["check", "--config", path]) == 2
+        assert "integer history indices" in capsys.readouterr().err
+
+
+def test_lp_status_error_exits_4(tmp_path, capsys, monkeypatch):
+    def unbounded(c, A, b, **kwargs):
+        return LpResult("unbounded", [], None, [])
+
+    monkeypatch.setattr(solver, "solve_standard_lp", unbounded)
+    path = write_config(tmp_path, "m.json", MATCHING)
+    assert main(["value", "--config", path]) == 4
+    assert "sequence-form LP ended unbounded" in capsys.readouterr().err
 
 
 def test_size_cap_exit_code(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from epmgames import (
     observation_stage,
 )
 from epmgames.core import (
-    digit_matrix,
+    digit_column,
     history_index,
     index_to_actions,
     observation_stage_via_tree,
@@ -86,7 +88,7 @@ def test_atom_of_examples():
     perfect = build_monitoring("perfect", SL, 3)
     h = SL.history_from_labels("SL")
     aid = atom_of(perfect.partitions[2], h)
-    assert perfect.partitions[2].atom_members(aid) == (h.index(2),)
+    assert perfect.partitions[2].atoms[aid] == (h.index(2),)
 
     bw = build_monitoring("blackwell", SL, 2)
     assert atom_of(bw.partitions[1], SL.history_from_labels("S")) == \
@@ -95,7 +97,7 @@ def test_atom_of_examples():
     # one four-stage block: at stage 2 only the own stage-0 action is known
     blk = build_monitoring("block", SL, 3, sizes=[4])
     aid = atom_of(blk.partitions[2], h)
-    members = {index_to_actions(i, 2, 2) for i in blk.partitions[2].atom_members(aid)}
+    members = {index_to_actions(i, 2, 2) for i in blk.partitions[2].atoms[aid]}
     assert members == {(0, 0), (0, 1)}
 
     with pytest.raises(ValueError):
@@ -157,6 +159,9 @@ def test_custom_partition_validation():
         build_monitoring("custom", SL, 2, atoms=[[[0]], [[0, 1], [1]]])
     with pytest.raises(ValueError):  # not covering
         build_monitoring("custom", SL, 2, atoms=[[[0]], [[0]]])
+    for bad in (1.5, 1.0, True, "1", None):  # history indices are ints only
+        with pytest.raises(ValueError, match="integer history indices"):
+            build_monitoring("custom", SL, 2, atoms=[[[0]], [[0], [bad]]])
 
 
 def test_observation_stage_examples():
@@ -285,7 +290,97 @@ def test_stage0_single_atom_enforced():
         assert m.partitions[0].num_atoms == 1
 
 
-def test_digit_matrix():
-    d = digit_matrix(3, 2)
-    assert d.shape == (8, 3)
-    assert list(d[5]) == [1, 0, 1]
+def test_digit_column():
+    for k, n in ((2, 3), (3, 2)):
+        for c in range(n):
+            expect = [index_to_actions(h, n, k)[c] for h in range(k**n)]
+            assert digit_column(n, k, c).tolist() == expect
+    assert digit_column(3, 2, 0).tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+
+
+# Per-atom oracles: the loops the group-by checks replaced, run on the raw
+# atom lists so that they share nothing with StagePartition.
+
+
+def _recall_oracle(k, stages):
+    def atom_of_raw(n, h):
+        return next(j for j, atom in enumerate(stages[n]) if h in atom)
+
+    for n in range(2, len(stages)):
+        for atom in map(sorted, stages[n]):
+            own = [index_to_actions(h, n, k)[n - 2] for h in atom]
+            for h, a in zip(atom, own):
+                if a != own[0]:
+                    return False, 1, (n, atom[0], h)
+    for n in range(len(stages) - 2):
+        for atom in map(sorted, stages[n + 2]):
+            lo = [atom_of_raw(n, h // (k * k)) for h in atom]
+            for h, j in zip(atom, lo):
+                if j != lo[0]:
+                    return False, 2, (n + 2, atom[0], h)
+    return True, None, None
+
+
+def _observation_stage_oracle(k, stages, m0):
+    for n in range(m0 + 1, len(stages)):
+        if n % 2 == m0 % 2:
+            continue
+        if all(len({index_to_actions(h, n, k)[m0] for h in atom}) == 1 for atom in stages[n]):
+            return n
+    return None
+
+
+@st.composite
+def custom_partitions(draw):
+    """Custom atom lists: a delayed structure with some stages kept, two atoms
+    merged, replaced by own actions only (forgetting the opponent's), or
+    replaced by a random partition; atoms and their members are listed in a
+    random order.  Returns (k, move-stage lists, terminal lists)."""
+    k = draw(st.sampled_from([2, 3]))
+    horizon = draw(st.integers(1, 5 if k == 2 else 4))
+    actions = ActionSet(("r", "p", "s")[:k])
+    base = build_monitoring("delayed", actions, horizon,
+                            d1=draw(st.integers(0, 3)), d2=draw(st.integers(0, 3)))
+    own_only = build_monitoring("none", actions, horizon)
+    stages = []
+    for n, part in enumerate(base.partitions + (base.terminal_partition,)):
+        atoms = [list(atom) for atom in part.atoms]
+        how = draw(st.sampled_from(["keep", "keep", "merge", "own", "random"])) if n else "keep"
+        if how == "own":
+            atoms = [list(atom) for atom in own_only.partition_at(n).atoms]
+        elif how == "merge" and len(atoms) > 1:
+            i, j = draw(st.lists(st.integers(0, len(atoms) - 1), min_size=2, max_size=2,
+                                 unique=True))
+            atoms[i] += atoms[j]
+            del atoms[j]
+        elif how == "random":
+            labels = draw(st.lists(st.integers(0, 3), min_size=k**n, max_size=k**n))
+            atoms = [[h for h in range(k**n) if labels[h] == v] for v in sorted(set(labels))]
+        atoms = [draw(st.permutations(atom)) for atom in draw(st.permutations(atoms))]
+        stages.append(atoms)
+    terminal = stages.pop() if draw(st.booleans()) else None
+    return k, stages[:horizon], terminal
+
+
+@settings(max_examples=150, deadline=None)
+@given(custom_partitions())
+def test_group_by_checks_match_per_atom_oracles(case):
+    k, stages, terminal = case
+    horizon = len(stages)
+    m = build_monitoring("custom", ActionSet(("r", "p", "s")[:k]), horizon,
+                         atoms=stages, terminal_atoms=terminal)
+    parts = m.partitions + ((m.terminal_partition,) if terminal is not None else ())
+    raw = stages + ([terminal] if terminal is not None else [])
+    for part, atoms in zip(parts, raw):
+        assert part.atoms == tuple(tuple(sorted(atom)) for atom in atoms)
+        assert json.loads(json.dumps(part.atoms)) == [sorted(atom) for atom in atoms]
+
+    report = check_perfect_recall(m)
+    ok, condition, witness = _recall_oracle(k, stages)
+    assert (report.ok, report.condition) == (ok, condition)
+    if not ok:
+        n, u, v = witness
+        assert report.witness == (n, FiniteHistory(index_to_actions(u, n, k)),
+                                  FiniteHistory(index_to_actions(v, n, k)))
+    for m0 in range(horizon):
+        assert observation_stage(m, m0) == _observation_stage_oracle(k, raw, m0)

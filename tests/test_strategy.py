@@ -18,7 +18,7 @@ from epmgames import (
     snap_strategy,
     strategy_distance,
 )
-from epmgames.strategy import BehavioralStrategy, nearest_grid_point
+from epmgames.strategy import BehavioralStrategy, _stacked_dists, nearest_grid_point
 from tests.conftest import matching_game
 
 AB = ActionSet(("a", "b"))
@@ -316,3 +316,20 @@ def test_coupling_is_maximal_stage_by_stage(kind, kwargs, k):
         else:
             assert single.alpha.prefix(split) == single.alpha_prime.prefix(split)
             assert single.alpha.actions[split] != single.alpha_prime.actions[split]
+
+
+def test_stacked_dists_equal_float_conversion():
+    # Fraction, int and float entries, including a Fraction whose terms overflow a double
+    m = build_monitoring("perfect", AB, 3)
+    g = TruncatedGame(m, np.zeros(8, dtype=bool))
+    big = F(10**400 + 1, 3 * 10**400)
+    x = BehavioralStrategy.from_rows(1, m, {
+        0: [(F(1, 3), F(2, 3))],
+        2: [(1, 0), (0.1, 0.9), (big, 1 - big), (0, 1)],
+    })
+    y = BehavioralStrategy.from_rows(2, m, {1: [(0.3, 0.7), (F(5, 11), F(6, 11))]})
+    expect = [[float(p) for p in dist]
+              for n in range(3) for dist in (x if n % 2 == 0 else y).tables[n]]
+    got = _stacked_dists(g, x, y)
+    assert got.shape == (2, 7)
+    assert got.T.tolist() == expect
