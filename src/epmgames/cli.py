@@ -6,7 +6,7 @@ check    perfect recall, by-horizon monitoring, and the observation-stage table
 value    sequence-form solve with normal-form oracle cross-check
 reduce   build the delegate game at a grid scale and verify the value sandwich
 couple   Monte Carlo coupling experiment against the exact bound
-example  run a named Stay/Leave fixture battery
+example  prove the claims of a named Stay/Leave scenario by exact best responses
 
 Exit codes: 0 success (all assertions passed), 1 assertion failure,
 2 configuration error, 3 size cap exceeded, 4 internal invariant violation
@@ -40,16 +40,11 @@ from .core import (
 )
 from .errors import SizeCapError
 from .reduction import compare_values
-from .scenarios import (
-    exact_payoff_with_tails,
-    leave_stay_mask,
-    scenario_suite,
-)
+from .scenarios import leave_stay_mask, prove_claim, scenario_suite
 from .solver import brute_force_value, fictitious_play, sequence_form_value
 from .strategy import (
     BehavioralStrategy,
     coupled_sample_batch,
-    grids_for,
     payoff,
     strategy_distance,
 )
@@ -181,6 +176,8 @@ def build_game(cfg: dict) -> TruncatedGame:
             bits = int(ws["hex"], 16)
         except (KeyError, ValueError):
             raise ConfigError("bitmask_hex needs a 'hex' field") from None
+        if bits < 0 or bits.bit_length() > k**horizon:
+            raise ConfigError(f"bitmask_hex must set only bits 0..{k**horizon - 1}")
         mask = np.array([(bits >> i) & 1 for i in range(k**horizon)], dtype=bool)
     elif wkind == "matching":
         if horizon < 2:
@@ -262,7 +259,6 @@ def cmd_reduce(cfg: dict, opts: dict) -> tuple[dict, bool]:
     game = build_game(cfg)
     eps = parse_rational(opts["epsilon"])
     report = compare_values(game, eps)
-    grids = grids_for(game, eps)
     results = {
         "epsilon": eps,
         "value": report.value,
@@ -270,7 +266,7 @@ def cmd_reduce(cfg: dict, opts: dict) -> tuple[dict, bool]:
         "upper_bound_ok": report.upper_ok,
         "lower_bound_ok": report.lower_ok,
         "sandwich_ok": report.ok,
-        "grid_sizes": {str(n): len(g.points) for n, g in sorted(grids.items())},
+        "grid_sizes": {str(n): len(g.points) for n, g in sorted(report.aux.grids.items())},
         "aux_nodes": report.aux_report.stats.nodes,
         "aux_nodes_by_stage": {str(n): c for n, c in
                                sorted(report.aux_report.stats.nodes_by_stage.items())},
@@ -316,38 +312,27 @@ def cmd_couple(cfg: dict, opts: dict) -> tuple[dict, bool]:
 
 
 def cmd_example(cfg: dict, opts: dict) -> tuple[dict, bool]:
-    _require_keys(cfg, {"scenario", "horizon", "delay", "leave_by", "battery",
-                        "seed", "solver", "delays1", "delays2"}, "config")
+    _require_keys(cfg, {"scenario", "horizon", "delay", "leave_by", "solver", "delays1",
+                        "delays2"}, "config")
     name = cfg.get("scenario")
     if name not in ("example1", "example2", "example3"):
         raise ConfigError("scenario must be one of example1, example2, example3")
-    kwargs = {}
-    for key in ("horizon", "delay", "leave_by", "battery", "delays1", "delays2"):
-        if key in cfg:
-            kwargs[key] = cfg[key]
-    kwargs["seed"] = cfg.get("seed", int(opts["seed"]))
-    fixtures = scenario_suite(name, **kwargs)
+    kwargs = {key: cfg[key] for key in ("horizon", "delay", "leave_by", "delays1", "delays2")
+              if key in cfg}
     rows = []
-    ok = True
-    for f in fixtures:
-        entry = {"name": f.name, "expected": f.expected, "notes": f.notes}
-        if f.x is not None and f.game is not None and (f.y is not None or fixtures[0].y is not None):
-            y = f.y if f.y is not None else fixtures[0].y
-            got = payoff(f.x, y, f.game)
-            entry["payoff"] = got
-            if f.expected is not None:
-                entry["matches"] = got == f.expected
-                ok = ok and got == f.expected
-        elif f.x is not None and f.tails is not None:
-            y = f.y if f.y is not None else fixtures[0].y
-            if y is not None:
-                got = exact_payoff_with_tails(f.x, y, f.monitoring, *f.tails)
-                entry["payoff"] = got
-                if f.expected is not None:
-                    entry["matches"] = got == f.expected
-                    ok = ok and got == f.expected
-        rows.append(entry)
-    return {"scenario": name, "fixtures": rows}, ok
+    for claim in scenario_suite(name, **kwargs):
+        proof = prove_claim(claim)
+        rows.append({
+            "name": claim.name,
+            "notes": claim.notes,
+            "expected": claim.expected,
+            "opponent_min": proof.opponent_min,
+            "opponent_max": proof.opponent_max,
+            "holds": proof.holds,
+            "min_witness": proof.min_witness.to_doc(),
+            "max_witness": proof.max_witness.to_doc(),
+        })
+    return {"scenario": name, "claims": rows}, all(row["holds"] for row in rows)
 
 
 COMMANDS = {

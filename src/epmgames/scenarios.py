@@ -7,10 +7,13 @@ player, so a finite prefix plus a deterministic tail policy per player
 decides every outcome exactly; payoffs against behavioral strategies follow
 by enumeration over prefixes.
 
-Finite fixtures restrict a player's commitment window through the winning
-mask (leave by stage M or forfeit) instead of truncating the winner rule
-naively: a last-moment leave would otherwise defeat any delayed responder
-and distort the target values.
+Each scenario makes claims of one form: a fixed strategy earns an exact
+value against every opponent strategy.  ``prove_claim`` proves or refutes a
+claim with two exact best responses of the opponent, one on the claim's
+game and one on its complemented mask.  Claim games restrict a player's
+commitment window through the winning mask (leave by stage M or forfeit)
+instead of truncating the winner rule naively: a last-moment leave would
+otherwise defeat any delayed responder and distort the target values.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .core import (
     index_to_actions,
 )
 from .errors import ModelingError
+from .solver import best_response
 from .strategy import BehavioralStrategy, Number, owned_stages, payoff
 
 STAY, LEAVE = 0, 1
@@ -209,32 +213,6 @@ def leave_at_stage_strategy(owner: int, monitoring: MonitoringStructure,
     )
 
 
-def bounded_random_strategy(owner: int, monitoring: MonitoringStructure,
-                            bound: int, rng: np.random.Generator,
-                            denominator: int = 8) -> BehavioralStrategy:
-    """Random behavior until stage ``bound``, a sure Leave there if still in,
-    sure Stay afterwards; the first Leave lands at an own stage <= bound."""
-    if bound % 2 != owner - 1 or bound >= monitoring.horizon:
-        raise ValueError(f"bound {bound} must be an own move stage")
-
-    def rows(n: int):
-        part = monitoring.partitions[n]
-        out = []
-        for p in range(part.num_atoms):
-            if _own_left(monitoring, n, p) or n > bound:
-                out.append((Fraction(1), Fraction(0)))
-            elif n == bound:
-                out.append((Fraction(0), Fraction(1)))
-            else:
-                w = int(rng.integers(0, denominator + 1))
-                out.append((Fraction(denominator - w, denominator), Fraction(w, denominator)))
-        return out
-
-    return BehavioralStrategy.from_rows(owner, monitoring, {
-        n: rows(n) for n in owned_stages(owner, monitoring.horizon)
-    })
-
-
 def variable_delay_monitoring(horizon: int, delays1: Sequence[int],
                               delays2: Sequence[int]) -> MonitoringStructure:
     """Per-stage observation delays (the delay may vary with the stage).
@@ -279,24 +257,120 @@ def leave_stay_mask(horizon: int, *, player1_leave_by: int | None = None,
 
 @dataclass(frozen=True)
 class ScenarioFixture:
-    """A ready-to-run piece of one scenario: a game and/or strategy pairing
-    with its exact expected payoff."""
+    """One claim: ``strategy`` earns exactly ``expected`` on ``game`` against
+    every opponent strategy."""
 
     name: str
-    monitoring: MonitoringStructure
-    game: TruncatedGame | None
-    x: BehavioralStrategy | None
-    y: BehavioralStrategy | None
-    tails: tuple[TailPolicy, TailPolicy] | None
-    expected: Fraction | None
+    game: TruncatedGame
+    strategy: BehavioralStrategy
+    expected: Fraction
     notes: str = ""
+
+
+@dataclass(frozen=True)
+class ClaimProof:
+    """The opponent's exact worst and best payoffs against a claim's strategy,
+    each with a pure best response attaining it."""
+
+    claim: ScenarioFixture
+    opponent_min: Number
+    opponent_max: Number
+    min_witness: BehavioralStrategy
+    max_witness: BehavioralStrategy
+
+    @property
+    def holds(self) -> bool:
+        return self.opponent_min == self.claim.expected == self.opponent_max
+
+
+def prove_claim(claim: ScenarioFixture) -> ClaimProof:
+    """Prove or refute a claim with two exact best responses of the opponent.
+
+    Player 1 maximizes the winning probability and player 2 minimizes it, so
+    the opponent's best response on the claim's game reaches one end of its
+    payoff range, and its best response on the complemented mask reaches the
+    other (payoffs there are 1 minus those on the game).  Every opponent
+    strategy earns a payoff between the two ends, so the claim holds iff
+    both equal ``expected``.
+    """
+    game, strategy = claim.game, claim.strategy
+    direct, direct_br = best_response(game, strategy)
+    flipped, flipped_br = best_response(
+        TruncatedGame(game.monitoring, ~game.winning_mask), strategy)
+    if strategy.owner == 2:  # the opponent is player 1
+        return ClaimProof(claim, 1 - flipped, direct, flipped_br, direct_br)
+    return ClaimProof(claim, direct, 1 - flipped, direct_br, flipped_br)
+
+
+def _responder_claim(monitoring: MonitoringStructure, leave_by: int) -> ScenarioFixture:
+    """example1: the responder holds every player 1 who leaves by M to 0.
+
+    Strategies acting after H: player 1 forfeits unless his first Leave
+    comes by M < H, so his actions after H decide nothing.  The mask scores
+    a play on which player 2 has not left by H as a player-1 win, so a
+    truncated maximum of 0 means the responder leaves inside the prefix,
+    after player 1, on every play; whatever she does after H, player 1 has
+    already lost.
+    """
+    mask = leave_stay_mask(monitoring.horizon, player1_leave_by=leave_by)
+    return ScenarioFixture("example1/responder", TruncatedGame(monitoring, mask),
+                           responder_strategy(monitoring), Fraction(0),
+                           f"responder vs any leave-by-{leave_by} strategy")
+
+
+def _punctual_leaver_claim(monitoring: MonitoringStructure, leave_by: int) -> ScenarioFixture:
+    """example2: player 2 leaving at M + 1 holds every player 1 who leaves
+    by M to 0, without seeing anything.
+
+    Strategies acting after H: player 2's Leave at M + 1 < H and player 1's
+    first Leave (by M, or he forfeits) both fall inside the prefix, so play
+    after H decides nothing.
+    """
+    mask = leave_stay_mask(monitoring.horizon, player1_leave_by=leave_by)
+    return ScenarioFixture("example2/lower", TruncatedGame(monitoring, mask),
+                           leave_at_stage_strategy(2, monitoring, leave_by + 1), Fraction(0),
+                           "punctual leaver beats any bounded opponent")
+
+
+def _wait_out_claim(name: str, monitoring: MonitoringStructure, window: int) -> ScenarioFixture:
+    """Player 1 leaving at his first stage past M wins surely against every
+    player 2 whose first Leave past M forfeits.
+
+    Strategies acting after H: player 1's Leave falls inside the prefix.  A
+    player 2 who first leaves after H leaves after M, which the window mask
+    already scores as a player-1 win; one who never leaves loses to player
+    1's Leave.
+    """
+    first_even = window + 1 if (window + 1) % 2 == 0 else window + 2
+    mask = leave_stay_mask(monitoring.horizon, player2_window=window)
+    return ScenarioFixture(name, TruncatedGame(monitoring, mask),
+                           leave_at_stage_strategy(1, monitoring, first_even), Fraction(1),
+                           f"vs any window-{window} opponent: leave at {first_even}, win surely")
+
+
+def _mirror_claim(monitoring: MonitoringStructure) -> ScenarioFixture:
+    """example3: leaving at stage 0 with probability 1/2, else mirroring
+    player 2, earns exactly 1/2.
+
+    Strategies acting after H: the mask completes each prefix with the
+    mirror's own rule for player 1 (leave right after player 2's first
+    Leave) and with Stay for player 2.  Player 2 never sees player 1, so her
+    choices after H are independent of the stage-0 coin.  A play on which
+    she first leaves after H is won on the mirror side of the coin and lost
+    on the other; scored as "never leaves" it is won on the other side and
+    lost on the mirror side.  Both sides have probability 1/2, so the payoff
+    is the same.
+    """
+    mask = outcome_mask(monitoring.horizon, TailPolicy("respond", 0), TailPolicy("stay"))
+    return ScenarioFixture("example3/mirror", TruncatedGame(monitoring, mask),
+                           copy_or_leave_strategy(monitoring, Fraction(1, 2)), Fraction(1, 2),
+                           "mix at stage 0, then mirror: exactly 1/2 against anyone")
 
 
 def scenario_suite(name: str, *, horizon: int | None = None, delay: int = 1,
                    leave_by: int | None = None, delays1: Sequence[int] | None = None,
-                   delays2: Sequence[int] | None = None,
-                   battery: int = 0, seed: int = 0) -> list[ScenarioFixture]:
-    """Fixtures for the three Stay/Leave scenarios.
+                   delays2: Sequence[int] | None = None) -> list[ScenarioFixture]:
+    """The claims of the three Stay/Leave scenarios; ``prove_claim`` proves each.
 
     ``example1``: both players see the opponent after a delay (optionally a
     per-stage variable delay); the responder holds any bounded leaver to 0.
@@ -305,7 +379,6 @@ def scenario_suite(name: str, *, horizon: int | None = None, delay: int = 1,
     but not conversely; mixing then mirroring guarantees exactly 1/2, and 1
     is achievable against any window-bounded opponent.
     """
-    rng = np.random.default_rng(seed)
     if name == "example1":
         H = horizon if horizon is not None else 2 * delay + 8
         M = leave_by if leave_by is not None else 2
@@ -317,81 +390,16 @@ def scenario_suite(name: str, *, horizon: int | None = None, delay: int = 1,
                 delays2 if delays2 is not None else [delay] * H)
         else:
             monitoring = build_monitoring("delayed", LEAVE_STAY_ACTIONS, H, d1=delay, d2=delay)
-        game = TruncatedGame(monitoring, leave_stay_mask(H, player1_leave_by=M))
-        y = responder_strategy(monitoring)
-        fixtures = [ScenarioFixture(
-            "example1/responder", monitoring, game, None, y,
-            (TailPolicy("stay"), TailPolicy("respond", delay)), Fraction(0),
-            f"responder vs any leave-by-{M} strategy",
-        )]
-        for i in range(battery):
-            x = bounded_random_strategy(1, monitoring, M, rng)
-            fixtures.append(ScenarioFixture(
-                f"example1/bounded-{i}", monitoring, game, x, y,
-                (TailPolicy("stay"), TailPolicy("respond", delay)), Fraction(0),
-            ))
-        return fixtures
+        return [_responder_claim(monitoring, M)]
     if name == "example2":
         H = horizon if horizon is not None else 8
         M = leave_by if leave_by is not None else 2
         monitoring = build_monitoring("none", LEAVE_STAY_ACTIONS, H)
-        lower = TruncatedGame(monitoring, leave_stay_mask(H, player1_leave_by=M))
-        x_low = bounded_random_strategy(1, monitoring, M, rng)
-        y_low = leave_at_stage_strategy(2, monitoring, M + 1)
-        upper = TruncatedGame(monitoring, leave_stay_mask(H, player2_window=M))
-        first_even = M + 1 if (M + 1) % 2 == 0 else M + 2
-        x_up = leave_at_stage_strategy(1, monitoring, first_even)
-        y_up = _blind_random_strategy(monitoring, M, rng)
-        return [
-            ScenarioFixture("example2/lower", monitoring, lower, x_low, y_low,
-                            (TailPolicy("stay"), TailPolicy("stay")), Fraction(0),
-                            "punctual leaver beats any bounded opponent"),
-            ScenarioFixture("example2/upper", monitoring, upper, x_up, y_up,
-                            (TailPolicy("stay"), TailPolicy("stay")), Fraction(1),
-                            "waiting past the window wins surely"),
-        ]
+        return [_punctual_leaver_claim(monitoring, M),
+                _wait_out_claim("example2/upper", monitoring, M)]
     if name == "example3":
         H = horizon if horizon is not None else 8
         M = leave_by if leave_by is not None else H - 3
         monitoring = variable_delay_monitoring(H, [H] * H, [0] * H)
-        x_star = copy_or_leave_strategy(monitoring, Fraction(1, 2))
-        fixtures = [ScenarioFixture(
-            "example3/mirror", monitoring, None, x_star, None,
-            (TailPolicy("respond", 0), TailPolicy("stay")), Fraction(1, 2),
-            "mix at stage 0, then mirror: exactly 1/2 against anyone",
-        )]
-        for i in range(battery):
-            y = _blind_random_strategy(monitoring, M, rng)
-            fixtures.append(ScenarioFixture(
-                f"example3/battery-{i}", monitoring, None, x_star, y,
-                (TailPolicy("respond", 0), TailPolicy("stay")), Fraction(1, 2),
-            ))
-        first_even = M + 1 if (M + 1) % 2 == 0 else M + 2
-        x_wait = leave_at_stage_strategy(1, monitoring, first_even)
-        fixtures.append(ScenarioFixture(
-            "example3/wait-out", monitoring, None, x_wait, None,
-            (TailPolicy("stay"), TailPolicy("stay")), Fraction(1),
-            f"vs any window-{M} opponent: leave at {first_even}, win surely",
-        ))
-        return fixtures
+        return [_mirror_claim(monitoring), _wait_out_claim("example3/wait-out", monitoring, M)]
     raise ValueError(f"unknown scenario {name!r}")
-
-
-def _blind_random_strategy(monitoring: MonitoringStructure, bound: int,
-                           rng: np.random.Generator) -> BehavioralStrategy:
-    """Random player-2 behavior supported on stages <= bound, sure Stay after."""
-
-    def rows(n: int):
-        part = monitoring.partitions[n]
-        out = []
-        for p in range(part.num_atoms):
-            if n > bound:
-                out.append((Fraction(1), Fraction(0)))
-            else:
-                w = int(rng.integers(0, 9))
-                out.append((Fraction(8 - w, 8), Fraction(w, 8)))
-        return out
-
-    return BehavioralStrategy.from_rows(2, monitoring, {
-        n: rows(n) for n in owned_stages(2, monitoring.horizon)
-    })

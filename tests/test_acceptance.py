@@ -23,12 +23,12 @@ from epmgames import (
     build_monitoring,
     compare_values,
     coupled_sample_batch,
-    exact_payoff_with_tails,
     grids_for,
     lift_player2,
     observation_stage,
     payoff,
     project_player1,
+    prove_claim,
     scenario_suite,
     sequence_form_value,
     snap_strategy,
@@ -36,7 +36,6 @@ from epmgames import (
 )
 from epmgames.core import observation_stage_via_tree
 from epmgames.reduction import ConstantAuxStrategy
-from epmgames.scenarios import TailPolicy, _blind_random_strategy, leave_at_stage_strategy
 from epmgames.strategy import BehavioralStrategy, owned_stages
 from tests.conftest import matching_game
 
@@ -197,33 +196,25 @@ def test_a6_round_trip_payoff_identity():
 
 def test_a7_stay_leave_values():
     with criterion("A7", 300):
-        # Example 1: the responder holds every bounded leaver to exactly 0
-        fixtures = scenario_suite("example1", delay=1, leave_by=2, horizon=6,
-                                  battery=20, seed=7)
-        game, y = fixtures[0].game, fixtures[0].y
-        for f in fixtures[1:]:
-            assert payoff(f.x, y, game) == 0
-        # Example 2: the two commitment bounds are hit exactly
-        lower, upper = scenario_suite("example2", horizon=8, leave_by=2, seed=7)
-        assert payoff(lower.x, lower.y, lower.game) == 0
-        assert payoff(upper.x, upper.y, upper.game) == 1
-        # Example 3: mixing then mirroring earns exactly 1/2 against a
-        # 50-strategy battery; waiting out any window-bounded opponent wins
-        fixtures = scenario_suite("example3", horizon=8, battery=50, seed=7)
-        mirror = fixtures[0]
-        battery = fixtures[1:-1]
-        assert len(battery) == 50
-        for f in battery:
-            got = exact_payoff_with_tails(mirror.x, f.y, mirror.monitoring, *mirror.tails)
-            assert got == F(1, 2), f.name
-        wait = fixtures[-1]
-        rng = np.random.default_rng(70)
-        stay = TailPolicy("stay")
-        for _ in range(10):
-            y_b = _blind_random_strategy(wait.monitoring, 5, rng)
-            assert exact_payoff_with_tails(wait.x, y_b, wait.monitoring, stay, stay) == 1
-        y_never = leave_at_stage_strategy(2, wait.monitoring, None)
-        assert exact_payoff_with_tails(wait.x, y_never, wait.monitoring, stay, stay) == 1
+        # Each claim holds against every opponent strategy: the opponent's
+        # exact best responses on the claim's mask and on its complement
+        # both equal the claimed value.
+        cases = (
+            # Example 1: the responder holds every bounded leaver to exactly 0
+            ("example1", {"delay": 1, "leave_by": 2, "horizon": 6}, [0]),
+            # Example 2: the two commitment bounds are hit exactly
+            ("example2", {"horizon": 8, "leave_by": 2}, [0, 1]),
+            # Example 3: mixing then mirroring earns exactly 1/2; waiting out
+            # any window-bounded opponent wins
+            ("example3", {"horizon": 8}, [F(1, 2), 1]),
+        )
+        for name, kwargs, values in cases:
+            claims = scenario_suite(name, **kwargs)
+            assert [c.expected for c in claims] == values, name
+            for claim in claims:
+                proof = prove_claim(claim)
+                assert proof.opponent_min == proof.opponent_max == claim.expected, claim.name
+                assert proof.holds, claim.name
 
 
 def test_a8_kuhn_equivalence():

@@ -1,7 +1,8 @@
+import dataclasses
 import json
 from fractions import Fraction as F
 
-from epmgames import solver
+from epmgames import cli, scenario_suite, solver
 from epmgames.cli import main, parse_rational, rat_str
 from epmgames.lp import LpResult
 
@@ -84,30 +85,48 @@ def test_couple_command(tmp_path, capsys):
 def test_example_command(tmp_path, capsys):
     cfg = write_config(tmp_path, "ex.json", {
         "scenario": "example1", "horizon": 6, "delay": 1, "leave_by": 2,
-        "battery": 4, "seed": 2,
     })
     code, out = run(["example", "--config", cfg], capsys)
     assert code == 0
     report = json.loads(out)
-    payoffs = [f.get("payoff") for f in report["results"]["fixtures"][1:]]
-    assert payoffs == ["0"] * 4
+    (claim,) = report["results"]["claims"]
+    assert claim["name"] == "example1/responder"
+    assert (claim["expected"], claim["opponent_min"], claim["opponent_max"]) == ("0", "0", "0")
+    assert claim["holds"] is True
+    # player 1's pure best responses, one action per atom of each own stage
+    for witness in (claim["min_witness"], claim["max_witness"]):
+        assert sorted(witness) == ["0", "2", "4"]
+    code, again = run(["example", "--config", cfg], capsys)
+    assert code == 0 and again == out
+    # the random-opponent seed is gone
+    bad = write_config(tmp_path, "bad.json", {"scenario": "example1", "seed": 2})
+    assert main(["example", "--config", bad]) == 2
+    assert "unknown fields in config: ['seed']" in capsys.readouterr().err
 
 
 def test_example_command_other_scenarios(tmp_path, capsys):
-    cfg = write_config(tmp_path, "e2.json", {"scenario": "example2", "horizon": 8,
-                                             "leave_by": 2})
+    for name, values in (("example2", ["0", "1"]), ("example3", ["1/2", "1"])):
+        cfg = write_config(tmp_path, f"{name}.json", {"scenario": name, "horizon": 8})
+        code, out = run(["example", "--config", cfg], capsys)
+        assert code == 0
+        claims = json.loads(out)["results"]["claims"]
+        assert [c["opponent_min"] for c in claims] == values
+        assert [c["opponent_max"] for c in claims] == values
+        assert all(c["holds"] for c in claims)
+
+
+def test_example_command_exits_1_on_a_failing_claim(tmp_path, capsys, monkeypatch):
+    def wrong_suite(name, **kwargs):
+        claims = scenario_suite(name, **kwargs)
+        return [dataclasses.replace(claims[0], expected=F(1, 3))] + claims[1:]
+
+    monkeypatch.setattr(cli, "scenario_suite", wrong_suite)
+    cfg = write_config(tmp_path, "e2.json", {"scenario": "example2", "horizon": 8})
     code, out = run(["example", "--config", cfg], capsys)
-    assert code == 0
+    assert code == 1
     report = json.loads(out)
-    assert [f["payoff"] for f in report["results"]["fixtures"]] == ["0", "1"]
-    cfg = write_config(tmp_path, "e3.json", {"scenario": "example3", "horizon": 8,
-                                             "battery": 5, "seed": 1})
-    code, out = run(["example", "--config", cfg], capsys)
-    assert code == 0
-    report = json.loads(out)
-    battery = report["results"]["fixtures"][1:-1]
-    assert len(battery) == 5
-    assert all(f["payoff"] == "1/2" and f["matches"] for f in battery)
+    assert report["ok"] is False
+    assert [c["holds"] for c in report["results"]["claims"]] == [False, True]
 
 
 def test_determinism_byte_identical(tmp_path, capsys):
@@ -217,6 +236,29 @@ def test_winning_set_kinds(tmp_path, capsys):
     }
     code, out = run(["value", "--config", write_config(tmp_path, "l.json", ls)], capsys)
     assert code == 0
+
+
+def test_bitmask_hex_out_of_range_exits_2(tmp_path, capsys):
+    base = {"actions": ["a", "b"], "horizon": 2, "monitoring": {"kind": "blackwell"}}
+    top = dict(base, winning_set={"kind": "bitmask_hex", "hex": "f"})
+    code, out = run(["value", "--config", write_config(tmp_path, "f.json", top)], capsys)
+    assert code == 0 and json.loads(out)["results"]["value"] == "1"
+    for bad in ("ff", "-1"):
+        cfg = dict(base, winning_set={"kind": "bitmask_hex", "hex": bad})
+        assert main(["value", "--config", write_config(tmp_path, "bad.json", cfg)]) == 2
+        assert "bitmask_hex must set only bits 0..3" in capsys.readouterr().err
+
+
+def test_value_exits_1_when_the_certificate_fails(tmp_path, capsys, monkeypatch):
+    solve = cli.sequence_form_value
+    monkeypatch.setattr(cli, "sequence_form_value",
+                        lambda game: dataclasses.replace(solve(game), gap1=F(1, 4)))
+    path = write_config(tmp_path, "m.json", MATCHING)
+    code, out = run(["value", "--config", path], capsys)
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert results["certified"] is False
+    assert results["oracle_agrees"] is True
 
 
 def test_float_mode_renders_floats(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epmgames import (
     sequence_form_value,
@@ -9,6 +12,7 @@ from epmgames import (
     Announcement,
     AuxHistory,
     ConditioningError,
+    StagePartition,
     TruncatedGame,
     aux_best_response,
     aux_payoff,
@@ -65,16 +69,59 @@ def test_aux_requires_recall():
         build_aux_game(TruncatedGame(m, np.zeros(8, bool)), 1)
 
 
-def test_reconstruction_identity_blackwell():
-    m = build_monitoring("blackwell", AB, 4)
-    g = TruncatedGame(m, np.zeros(16, bool))
-    aux = build_aux_game(g, 1)  # reconstruction identity is validated inside
-    assert aux.schedule.terminal == (2, 3)
-    # spot-check the inverse by hand on one history: a = (1, 0, 1, 1)
-    idx = 0b1011
-    states = {2: 0, 3: 1}  # stage 2 reveals a_1 = 0; stage 3 reveals a_0 = 1
-    terminal = 0b11       # coordinates (2, 3)
-    assert aux.reconstruct(states, terminal).index(2) == idx
+@st.composite
+def recall_structures(draw):
+    """Rule-based structures, or random custom ones that keep perfect recall:
+    each mover sees its own past, all it saw two stages earlier, and a
+    random set of further opponent actions.  k in {2, 3}, H <= 5."""
+    k = draw(st.sampled_from([2, 3]))
+    horizon = draw(st.integers(1, 5))
+    actions = ActionSet(("r", "p", "s")[:k])
+    kind = draw(st.sampled_from(["perfect", "blackwell", "delayed", "block", "none", "custom"]))
+    if kind == "delayed":
+        return build_monitoring(kind, actions, horizon,
+                                d1=draw(st.integers(0, 3)), d2=draw(st.integers(0, 3)))
+    if kind == "block":
+        sizes = []
+        while sum(sizes) < horizon:
+            sizes.append(draw(st.integers(1, 3)))
+        return build_monitoring(kind, actions, horizon, sizes=sizes)
+    if kind != "custom":
+        return build_monitoring(kind, actions, horizon)
+    seen = [set(), set()]
+    atoms = []
+    for n in range(horizon):
+        seen[n % 2] |= set(range(n % 2, n, 2))
+        seen[n % 2] |= {m for m in range(1 - n % 2, n, 2) if draw(st.booleans())}
+        atoms.append(StagePartition.from_visible_coords(n, k, sorted(seen[n % 2])).atoms)
+    return build_monitoring("custom", actions, horizon, atoms=atoms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(recall_structures())
+@example(build_monitoring("blackwell", AB, 4))
+def test_reconstruction_identity_blackwell(m):
+    k, H = m.num_actions, m.horizon
+    aux = build_aux_game(TruncatedGame(m, np.zeros(k**H, bool)), 2**H)
+    if m.builder == {"kind": "blackwell"} and (k, H) == (2, 4):
+        assert aux.schedule.terminal == (2, 3)
+        # spot-check the inverse by hand on one history: a = (1, 0, 1, 1)
+        states = {2: 0, 3: 1}  # stage 2 reveals a_1 = 0; stage 3 reveals a_0 = 1
+        terminal = 0b11       # coordinates (2, 3)
+        assert aux.reconstruct(states, terminal).index(2) == 0b1011
+
+    # Every history is rebuilt from its revealed states and terminal code.
+    def code(actions, coords):
+        out = 0
+        for c in coords:
+            out = out * k + actions[c]
+        return out
+
+    for idx in range(k**H):
+        actions = index_to_actions(idx, H, k)
+        states = {n: code(actions, coords) for n, coords in aux.schedule.groups.items()}
+        rebuilt = aux.reconstruct(states, code(actions, aux.schedule.terminal))
+        assert rebuilt.index(k) == idx
 
 
 def test_nature_transition_perfect_is_announced_mixture():
@@ -132,7 +179,7 @@ def _brute_force_transition(aux, history):
     return {c: v / total for c, v in dist.items()}
 
 
-def test_nature_transition_matches_brute_force_battery():
+def test_nature_transition_matches_brute_force_on_random_walks():
     rng = np.random.default_rng(3)
 
     def rand_dist():
@@ -331,6 +378,16 @@ def test_sandwich_empty_set_every_epsilon():
     for eps in (2, 1, F(1, 2), F(1, 4)):
         rep = compare_values(g, eps)
         assert rep.value == 0 and rep.aux_val == 0 and rep.ok
+
+
+def test_sandwich_bounds_are_one_epsilon_each_side():
+    rep = compare_values(matching_game("blackwell"), F(1, 4))
+    eps, q = rep.epsilon, 64
+    cases = ((rep.value + eps, True, True), (rep.value - eps, True, True),
+             (rep.value + eps + F(1, q), False, True), (rep.value - eps - F(1, q), True, False))
+    for aux_val, upper, lower in cases:
+        shifted = dataclasses.replace(rep, aux_val=aux_val)
+        assert (shifted.upper_ok, shifted.lower_ok, shifted.ok) == (upper, lower, upper and lower)
 
 
 def test_sandwich_report_fields():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -5,18 +6,20 @@ import pytest
 
 from epmgames import (
     FiniteHistory,
+    ScenarioFixture,
     TailPolicy,
+    TruncatedGame,
+    best_response,
     classify_outcome,
     exact_payoff_with_tails,
     payoff,
+    prove_claim,
     scenario_suite,
     sequence_form_value,
 )
 from epmgames.scenarios import (
     LEAVE,
     STAY,
-    _blind_random_strategy,
-    bounded_random_strategy,
     copy_or_leave_strategy,
     leave_at_stage_strategy,
     leave_stay_mask,
@@ -75,89 +78,117 @@ def test_tail_validation():
         TailPolicy("respond", -1)
 
 
-def test_example1_responder_holds_everyone_to_zero():
-    fixtures = scenario_suite("example1", delay=1, leave_by=2, horizon=6,
-                              battery=10, seed=3)
-    game, y = fixtures[0].game, fixtures[0].y
-    for f in fixtures[1:]:
-        assert payoff(f.x, y, game) == 0
-    # universal statement: even the best committed leaver gets 0
-    from epmgames import best_response
+def proved(claim):
+    proof = prove_claim(claim)
+    assert proof.opponent_min == proof.opponent_max == claim.expected, claim.name
+    assert proof.holds
+    return proof
 
-    br_value, _ = best_response(game, y)
-    assert br_value == 0
+
+def test_example1_responder_holds_everyone_to_zero():
+    (claim,) = scenario_suite("example1", delay=1, leave_by=2, horizon=6)
+    proof = proved(claim)
+    assert claim.expected == 0
+    # each witness attains its end of the opponent's payoff range
+    y = claim.strategy
+    assert payoff(proof.max_witness, y, claim.game) == 0
+    assert best_response(claim.game, y) == (proof.opponent_max, proof.max_witness)
     # explicit leave-at-0 strategy, tail evaluation route
-    x0 = leave_at_stage_strategy(1, game.monitoring, 0)
-    got = exact_payoff_with_tails(x0, y, game.monitoring, stay, TailPolicy("respond", 1))
+    x0 = leave_at_stage_strategy(1, claim.game.monitoring, 0)
+    got = exact_payoff_with_tails(x0, y, claim.game.monitoring, stay, TailPolicy("respond", 1))
     assert got == 0
 
 
 def test_example1_zero_for_larger_delays():
-    for delay, M in ((1, 2), (2, 2)):
-        H = M + delay + 3
-        fixtures = scenario_suite("example1", delay=delay, leave_by=M, horizon=H,
-                                  battery=5, seed=1)
-        game, y = fixtures[0].game, fixtures[0].y
-        for f in fixtures[1:]:
-            assert payoff(f.x, y, game) == 0
+    for delay, M, H in ((1, 2, 6), (2, 2, 8), (1, 2, 10), (2, 2, 12)):
+        (claim,) = scenario_suite("example1", delay=delay, leave_by=M, horizon=H)
+        assert claim.expected == 0
+        proved(claim)
 
 
 def test_example1_truncation_value_zero():
-    fixtures = scenario_suite("example1", delay=1, leave_by=2, horizon=6)
-    rep = sequence_form_value(fixtures[0].game)
+    (claim,) = scenario_suite("example1", delay=1, leave_by=2, horizon=6)
+    rep = sequence_form_value(claim.game)
     assert rep.value == 0
     assert rep.certified
 
 
 def test_example1_truncation_value_zero_delay2():
     # the larger truncation: delay 2, leave window 2, eight stages
-    fixtures = scenario_suite("example1", delay=2, leave_by=2, horizon=8)
-    rep = sequence_form_value(fixtures[0].game)
+    (claim,) = scenario_suite("example1", delay=2, leave_by=2, horizon=8)
+    rep = sequence_form_value(claim.game)
     assert rep.value == 0
     assert rep.certified
 
 
 def test_example1_variable_delay():
-    fixtures = scenario_suite("example1", horizon=9, leave_by=2,
-                              delays1=[1, 2, 3, 2, 1, 2, 3, 2, 1], delays2=[2] * 9,
-                              battery=5, seed=8)
-    game, y = fixtures[0].game, fixtures[0].y
-    for f in fixtures[1:]:
-        assert payoff(f.x, y, game) == 0
+    (claim,) = scenario_suite("example1", horizon=9, leave_by=2,
+                              delays1=[1, 2, 3, 2, 1, 2, 3, 2, 1], delays2=[2] * 9)
+    proved(claim)
 
 
 def test_example2_bounds():
-    fixtures = scenario_suite("example2", horizon=8, leave_by=2, seed=1)
-    lower, upper = fixtures
-    assert payoff(lower.x, lower.y, lower.game) == 0
-    assert payoff(upper.x, upper.y, upper.game) == 1
+    for H in (8, 10, 12):
+        lower, upper = scenario_suite("example2", horizon=H, leave_by=2)
+        assert (lower.expected, upper.expected) == (0, 1)
+        proved(lower)
+        proved(upper)
     # the punctual leaver needs no information: value of the committed game is 0
-    rep = sequence_form_value(lower.game)
-    assert rep.value == 0
+    lower, _ = scenario_suite("example2", horizon=8, leave_by=2)
+    assert sequence_form_value(lower.game).value == 0
 
 
 def test_example3_half_and_one():
-    fixtures = scenario_suite("example3", horizon=8, battery=12, seed=5)
-    mirror = fixtures[0]
-    for f in fixtures[1:-1]:
-        got = exact_payoff_with_tails(mirror.x, f.y, mirror.monitoring, *mirror.tails)
-        assert got == F(1, 2)
-    wait = fixtures[-1]
-    rng = np.random.default_rng(10)
-    for _ in range(5):
-        y = _blind_random_strategy(wait.monitoring, 5, rng)
-        got = exact_payoff_with_tails(wait.x, y, wait.monitoring, stay, stay)
-        assert got == 1
+    for H in (8, 10, 12):
+        mirror, wait = scenario_suite("example3", horizon=H)
+        assert (mirror.expected, wait.expected) == (F(1, 2), 1)
+        proof = proved(mirror)
+        proved(wait)
+        # the mirror's mask is the tail-policy outcome: both witnesses earn
+        # 1/2 under the reference evaluation too
+        m = mirror.game.monitoring
+        for y in (proof.min_witness, proof.max_witness):
+            got = exact_payoff_with_tails(mirror.strategy, y, m, TailPolicy("respond", 0), stay)
+            assert got == F(1, 2)
 
 
 def test_example3_mirror_needs_both_branches():
     # against a never-leaving opponent the mirror wins only on its early leave
-    fixtures = scenario_suite("example3", horizon=8, seed=0)
-    mirror = fixtures[0]
-    y_stay = _blind_random_strategy(mirror.monitoring, 1, np.random.default_rng(1))
-    y_never = leave_at_stage_strategy(2, mirror.monitoring, None)
-    got = exact_payoff_with_tails(mirror.x, y_never, mirror.monitoring, *mirror.tails)
+    mirror, _ = scenario_suite("example3", horizon=8)
+    m = mirror.game.monitoring
+    y_never = leave_at_stage_strategy(2, m, None)
+    got = exact_payoff_with_tails(mirror.strategy, y_never, m, TailPolicy("respond", 0), stay)
     assert got == F(1, 2)
+    # either branch alone wins against one opponent and loses against another
+    for first_leave_prob in (0, 1):
+        branch = dataclasses.replace(mirror, strategy=copy_or_leave_strategy(m, first_leave_prob))
+        proof = prove_claim(branch)
+        assert (proof.opponent_min, proof.opponent_max) == (0, 1)
+        assert not proof.holds
+
+
+def test_claim_proof_checks_both_sides():
+    # Waiting out a window needs the window mask: under Stay tails player 2
+    # can leave just after player 1 and win, so the range is [0, 1].
+    _, wait = scenario_suite("example3", horizon=8)
+    m = wait.game.monitoring
+    for expected in (0, 1):
+        claim = ScenarioFixture("stay-tails", TruncatedGame(m, outcome_mask(8, stay, stay)),
+                                wait.strategy, F(expected))
+        proof = prove_claim(claim)
+        assert (proof.opponent_min, proof.opponent_max) == (0, 1)
+        assert not proof.holds
+        assert payoff(wait.strategy, proof.min_witness, claim.game) == 0
+        assert payoff(wait.strategy, proof.max_witness, claim.game) == 1
+    # Without the leave-by window a last-moment leave beats the responder.
+    (responder,) = scenario_suite("example1", delay=1, leave_by=2, horizon=6)
+    rm = responder.game.monitoring
+    for expected in (0, 1):
+        claim = ScenarioFixture("no-window", TruncatedGame(rm, leave_stay_mask(6)),
+                                responder.strategy, F(expected))
+        proof = prove_claim(claim)
+        assert (proof.opponent_min, proof.opponent_max) == (0, 1)
+        assert not proof.holds
 
 
 def test_leave_stay_mask_windows():
@@ -185,7 +216,7 @@ def test_strategy_builders_validate():
     with pytest.raises(ValueError):
         leave_at_stage_strategy(1, mon, 1)  # odd stage is not player 1's
     with pytest.raises(ValueError):
-        bounded_random_strategy(1, mon, 3, np.random.default_rng(0))
+        leave_at_stage_strategy(2, mon, 7)  # past the horizon
     y = responder_strategy(mon)
     assert y.owner == 2
     x = copy_or_leave_strategy(variable_delay_monitoring(6, [6] * 6, [0] * 6), F(1, 2))

@@ -275,6 +275,27 @@ def test_value_report_fields():
     assert rep.certified
 
 
+def test_value_report_rejects_a_non_optimal_profile():
+    # player 1 wins iff the stage-0 action is "a": the value is 1, and
+    # uniform play leaves a best-response gap on one side or the other
+    m = build_monitoring("blackwell", AB, 2)
+    g = TruncatedGame(m, np.array([True, True, False, False]))
+    x, y = BehavioralStrategy.uniform(1, m), BehavioralStrategy.uniform(2, m)
+    for value, gaps in ((F(1), (0, F(1, 2))), (F(1, 2), (F(1, 2), 0))):
+        rep = solver._with_certificate(g, value, x, y, "uniform")
+        assert (rep.gap1, rep.gap2) == gaps
+        assert not rep.certified
+
+
+def test_best_response_breaks_ties_to_the_lowest_action():
+    m = build_monitoring("perfect", AB, 3)
+    for mask in (np.zeros(8, bool), np.ones(8, bool)):
+        g = TruncatedGame(m, mask)
+        for owner in (1, 2):
+            _, br = best_response(g, BehavioralStrategy.uniform(owner, m))
+            assert all(dist == (1, 0) for rows in br.tables.values() for dist in rows)
+
+
 def test_sequence_program_payoff_counts():
     g = matching_game("blackwell")
     prog = SequenceFormProgram.build(g)

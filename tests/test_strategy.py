@@ -209,7 +209,7 @@ def test_coupled_sample_disjoint_supports():
         assert pair.first_divergence == 0
 
 
-def test_coupling_inequality_exact_battery():
+def test_coupling_inequality_exact_on_random_profiles():
     rng = np.random.default_rng(9)
     checked = 0
     for trial in range(200):
